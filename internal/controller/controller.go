@@ -81,25 +81,10 @@ type Config struct {
 	// controller builds one fresh Policy instance from this spec,
 	// consults Plan before every consequence-prediction round (snapshot
 	// size, round number, snapshot interval) and feeds Observe the
-	// round's report afterwards. Zero Base fields are filled from the
-	// deprecated MCStates/MCDepth/Workers scalars, and a zero spec
-	// reproduces exactly the old fixed per-round budget.
+	// round's report afterwards. Zero Base.States and Base.Violations
+	// fall to the controller defaults (20,000 states, 8 violations), so a
+	// zero spec is that fixed per-round budget.
 	Policy mc.PolicySpec
-	// MCStates bounds consequence prediction per round.
-	//
-	// Deprecated: set Policy.Base.States; this scalar fills the policy
-	// base only where it is zero.
-	MCStates int
-	// MCDepth bounds search depth (0 = unbounded).
-	//
-	// Deprecated: set Policy.Base.Depth.
-	MCDepth int
-	// Workers is the checker's worker-pool size per round (0 =
-	// GOMAXPROCS); the filter-safety recheck runs on the same engine
-	// with the same pool size.
-	//
-	// Deprecated: set Policy.Base.Workers.
-	Workers int
 	// PerStateCost is the virtual model-checking time charged per
 	// explored state; the report arrives only after the total latency.
 	PerStateCost time.Duration
@@ -151,8 +136,6 @@ func DefaultConfig(ps props.Set, factory sm.Factory) Config {
 		Props:             ps,
 		Factory:           factory,
 		SnapshotInterval:  10 * time.Second,
-		MCStates:          20000,
-		MCDepth:           0,
 		PerStateCost:      300 * time.Microsecond,
 		ExploreResets:     true,
 		EnableISC:         true,
@@ -162,23 +145,19 @@ func DefaultConfig(ps props.Set, factory sm.Factory) Config {
 	}
 }
 
-// defaultMaxViolations is the per-round violation quota every policy base
-// inherits unless it sets its own.
-const defaultMaxViolations = 8
+// defaultMCStates and defaultMaxViolations are the per-round state budget
+// and violation quota every policy base inherits unless it sets its own.
+const (
+	defaultMCStates      = 20000
+	defaultMaxViolations = 8
+)
 
 // policySpec resolves the controller's budget-policy spec: the declared
-// spec with zero Base fields filled from the deprecated scalars and the
-// controller defaults.
+// spec with zero Base fields filled from the controller defaults.
 func (c *Config) policySpec() mc.PolicySpec {
 	spec := c.Policy
 	if spec.Base.States == 0 {
-		spec.Base.States = c.MCStates
-	}
-	if spec.Base.Depth == 0 {
-		spec.Base.Depth = c.MCDepth
-	}
-	if spec.Base.Workers == 0 {
-		spec.Base.Workers = c.Workers
+		spec.Base.States = defaultMCStates
 	}
 	if spec.Base.Violations == 0 {
 		spec.Base.Violations = defaultMaxViolations
@@ -384,9 +363,8 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 
 	// The policy plans this round's exploration budget from what is
 	// known before the search: the round number, the snapshot's encoded
-	// size and the interval the round must fit inside. This replaces the
-	// old verbatim MCStates/Workers copy with the paper's adaptive
-	// StopCriterion seam.
+	// size and the interval the round must fit inside: the paper's
+	// adaptive stop-criterion seam.
 	plan := c.policy.Plan(mc.RoundInfo{
 		Round:         int(c.Stats.Rounds),
 		SnapshotBytes: start.EncodedSize(),

@@ -49,7 +49,7 @@ func deployWithController(t *testing.T, n int, cfg Config) (*sim.Simulator, []*C
 func debugCfg(limit int) Config {
 	cfg := DefaultConfig(props.Set{testsvc.CounterBelow(limit)}, nil)
 	cfg.SnapshotInterval = 2 * time.Second
-	cfg.MCStates = 3000
+	cfg.Policy.Base.States = 3000
 	cfg.PerStateCost = 100 * time.Microsecond
 	cfg.ExploreResets = false
 	cfg.EnableISC = false
@@ -84,7 +84,7 @@ func TestDebuggingModePredictsFutureViolation(t *testing.T) {
 
 func TestRoundsAndSnapshotsProceed(t *testing.T) {
 	cfg := debugCfg(1000)
-	cfg.MCStates = 300 // liveness of the round loop, not search depth
+	cfg.Policy.Base.States = 300 // liveness of the round loop, not search depth
 	s, ctrls := deployWithController(t, 3, cfg)
 	s.RunFor(15 * time.Second)
 	for i, c := range ctrls {
@@ -141,7 +141,7 @@ func TestFilterSafetyCheckVetoesUselessFilter(t *testing.T) {
 func TestVirtualMCLatencyDelaysReport(t *testing.T) {
 	cfg := debugCfg(2)
 	cfg.PerStateCost = 10 * time.Millisecond // expensive checker
-	cfg.MCStates = 1000
+	cfg.Policy.Base.States = 1000
 	s, ctrls := deployWithController(t, 2, cfg)
 
 	var predictionTimes []sim.Time
@@ -179,7 +179,7 @@ func TestDistinctFindingsDedup(t *testing.T) {
 
 func TestControllerSurvivesNodeResets(t *testing.T) {
 	cfg := debugCfg(1000)
-	cfg.MCStates = 300
+	cfg.Policy.Base.States = 300
 	s, ctrls := deployWithController(t, 3, cfg)
 	s.After(5*time.Second, func() { ctrls[1].Node().Reset(true) })
 	s.After(12*time.Second, func() { ctrls[2].Node().Reset(false) })

@@ -25,7 +25,7 @@ func (r *recordingPolicy) Plan(in mc.RoundInfo) mc.Budget {
 func (r *recordingPolicy) Observe(rep mc.RoundReport) { r.inner.Observe(rep) }
 
 // TestAdaptiveBudgetFitsSnapshotInterval is the paper's adaptive
-// StopCriterion end to end: with an expensive checker (1 ms of virtual
+// stop criterion end to end: with an expensive checker (1 ms of virtual
 // latency per state) and a 2 s snapshot interval, the fixed 20000-state
 // budget overruns every round by 10x — the report lands 20 s after the
 // snapshot it was computed from. The AdaptivePolicy observes the first
@@ -50,7 +50,6 @@ func TestAdaptiveBudgetFitsSnapshotInterval(t *testing.T) {
 
 	// Fixed arm: every round runs the full 20000-state ask and overruns.
 	fixedCfg := base()
-	fixedCfg.MCStates = ask
 	fixedCfg.Policy = mc.PolicySpec{Kind: mc.PolicyFixed, Base: mc.Budget{States: ask, Workers: 1}}
 	s, ctrls := deployWithController(t, 2, fixedCfg)
 	s.RunFor(60 * time.Second)

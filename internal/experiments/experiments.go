@@ -55,7 +55,9 @@ func Fig12Exhaustive(cfg Fig12Config) []DepthPoint {
 	}
 	var out []DepthPoint
 	for d := 1; d <= cfg.MaxDepth; d++ {
-		res := runRandTreeSearch(cfg.Seed, cfg.Nodes, mc.Exhaustive, d, cfg.MaxStates, cfg.MaxWall, false, cfg.Workers)
+		res := runRandTreeSearch(cfg.Seed, cfg.Nodes, mc.Exhaustive, mc.Budget{
+			Depth: d, States: cfg.MaxStates, Wall: cfg.MaxWall, Workers: cfg.Workers,
+		}, false)
 		out = append(out, DepthPoint{
 			Depth:        d,
 			States:       res.StatesExplored,
@@ -72,16 +74,13 @@ func Fig12Exhaustive(cfg Fig12Config) []DepthPoint {
 
 // runRandTreeSearch builds an n-node RandTree initial state (all nodes
 // unjoined, ready to issue Join app calls) and runs one search over it.
-func runRandTreeSearch(seed int64, n int, mode mc.Mode, maxDepth, maxStates int, maxWall time.Duration, resets bool, workers int) *mc.Result {
+func runRandTreeSearch(seed int64, n int, mode mc.Mode, budget mc.Budget, resets bool) *mc.Result {
 	g, cfg, err := scenario.InitialState("randtree", scenario.Options{Nodes: n})
 	if err != nil {
 		panic(err)
 	}
 	cfg.Mode = mode
-	cfg.Workers = workers
-	cfg.MaxDepth = maxDepth
-	cfg.MaxStates = maxStates
-	cfg.MaxWall = maxWall
+	cfg.Budget = budget
 	cfg.ExploreResets = resets
 	cfg.Seed = seed
 	return mc.NewSearch(cfg).Run(g)
@@ -123,9 +122,7 @@ func Fig15Memory(cfg Fig15Config) []DepthPoint {
 			Props:         randtree.Properties,
 			Factory:       factory,
 			Mode:          mc.Consequence,
-			Workers:       cfg.Workers,
-			MaxDepth:      d,
-			MaxStates:     cfg.MaxStates,
+			Budget:        mc.Budget{Workers: cfg.Workers, Depth: d, States: cfg.MaxStates},
 			ExploreResets: true,
 			Seed:          cfg.Seed,
 		})
@@ -221,7 +218,7 @@ func DepthComparison(seed int64, budget time.Duration, nodeCounts []int, workers
 	var rows []DepthBudgetRow
 	for _, n := range nodeCounts {
 		for _, mode := range []mc.Mode{mc.Exhaustive, mc.Consequence} {
-			res := runRandTreeSearch(seed, n, mode, 0, 0, budget, true, workers)
+			res := runRandTreeSearch(seed, n, mode, mc.Budget{Wall: budget, Workers: workers}, true)
 			rows = append(rows, DepthBudgetRow{
 				Start:      "initial",
 				Nodes:      n,
@@ -240,11 +237,9 @@ func DepthComparison(seed int64, budget time.Duration, nodeCounts []int, workers
 				Props:            props.Set{randtree.PropChildrenSiblingsDisjoint},
 				Factory:          factory,
 				Mode:             mode,
-				Workers:          workers,
+				Budget:           mc.Budget{Workers: workers, Wall: budget, Violations: 1},
 				ExploreResets:    true,
 				MaxResetsPerPath: 1,
-				MaxWall:          budget,
-				MaxViolations:    1,
 				Seed:             seed,
 			})
 			res := s.Run(g)

@@ -103,8 +103,7 @@ func TestReductionCountersAllocBound(t *testing.T) {
 			Props:         poisonAt(1000),
 			Factory:       newToy,
 			Mode:          Exhaustive,
-			MaxDepth:      6,
-			Workers:       1,
+			Budget:        Budget{Depth: 6, Workers: 1},
 			Seed:          7,
 			ExploreResets: true,
 			Reduce:        reduce,

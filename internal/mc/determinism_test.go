@@ -37,7 +37,7 @@ func TestRandomWalkSameSeedReproducible(t *testing.T) {
 			Mode:          RandomWalk,
 			Walks:         80,
 			WalkDepth:     25,
-			Workers:       2,
+			Budget:        Budget{Workers: 2},
 			Seed:          42,
 			ExploreResets: true,
 		})
@@ -86,8 +86,7 @@ func TestSerialBFSSameSeedReproducible(t *testing.T) {
 					Props:         poisonAt(4),
 					Factory:       newToy,
 					Mode:          mode,
-					MaxStates:     1500,
-					Workers:       1,
+					Budget:        Budget{States: 1500, Workers: 1},
 					Seed:          7,
 					ExploreResets: true,
 					Reduce:        reduce,

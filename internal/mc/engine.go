@@ -9,72 +9,12 @@ import (
 	"crystalball/internal/sm"
 )
 
-// visitedShards is the shard count of the concurrent hash sets. A power of
-// two well above any realistic worker count keeps lock contention off the
-// hot path.
-const visitedShards = 64
-
-// shardedSet is a concurrent set of state hashes, sharded by the hash's low
-// bits so workers rarely contend on the same lock.
-type shardedSet struct {
-	shards [visitedShards]struct {
-		mu sync.Mutex
-		m  map[uint64]struct{}
-		_  [48]byte // pad to a 64-byte cache line so shard locks don't false-share
-	}
-}
-
-func newShardedSet() *shardedSet {
-	s := &shardedSet{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[uint64]struct{})
-	}
-	return s
-}
-
-// Add inserts h and reports whether it was absent (true = first sighting).
-func (s *shardedSet) Add(h uint64) bool {
-	sh := &s.shards[h%visitedShards]
-	sh.mu.Lock()
-	_, dup := sh.m[h]
-	if !dup {
-		sh.m[h] = struct{}{}
-	}
-	sh.mu.Unlock()
-	return !dup
-}
-
-// Has reports whether h is present.
-func (s *shardedSet) Has(h uint64) bool {
-	sh := &s.shards[h%visitedShards]
-	sh.mu.Lock()
-	_, ok := sh.m[h]
-	sh.mu.Unlock()
-	return ok
-}
-
-// Len returns the total number of entries.
-func (s *shardedSet) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// dump returns the sorted contents (differential oracles compare sets).
-func (s *shardedSet) dump() []uint64 {
-	out := make([]uint64, 0, s.Len())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for h := range sh.m {
-			out = append(out, h)
-		}
-		sh.mu.Unlock()
+// sortedKeys returns a hash set's members in ascending order (differential
+// oracles compare sets).
+func sortedKeys(m map[uint64]struct{}) []uint64 {
+	out := make([]uint64, 0, len(m))
+	for h := range m {
+		out = append(out, h)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -94,7 +34,7 @@ func atomicMax(v *atomic.Int64, x int64) {
 // signature and keeping, per signature, the representative with the
 // smallest (depth, state hash). For runs bounded only by depth or
 // exhaustion the reported set is therefore identical no matter how worker
-// interleavings ordered the discoveries; under a MaxViolations cutoff,
+// interleavings ordered the discoveries; under a Budget.Violations cutoff,
 // which violating states fill the quota first — and so the reported
 // membership — can still vary with >1 worker, exactly as it varies with
 // the processing order of the serial checker. The quota counts violating
@@ -106,7 +46,7 @@ type collector struct {
 	bySig    map[string]int
 	list     []Violation
 	recorded int // violating states seen, including signature duplicates
-	max      int // MaxViolations (0 = unbounded)
+	max      int // Budget.Violations (0 = unbounded)
 	// filled flips once the quota is reached; record's lock-free fast path
 	// reads it so post-quota workers (which may still be draining violating
 	// states from their level slices) stop serializing on the mutex.
@@ -170,16 +110,15 @@ func (c *collector) violations() []Violation {
 // frontier states of depth d are expanded before any state of depth d+1.
 // Within a level each worker owns a Chase-Lev deque seeded with a
 // contiguous chunk of the level (LIFO local pops, FIFO steals when a chunk
-// drains), so the frontier is contention-free in the common case; the
-// deprecated shared-cursor FIFO survives behind Config.LegacyFrontier for
-// benchmark comparison. Successor states are only *proposed* during
-// expansion — the visited-set claims happen in one deterministic pass at
-// the level barrier, in (level position, sibling) order, so every state is
-// claimed at its minimal BFS depth by the same representative path at every
-// worker count, and a racing worker interleaving can never change which
-// parent a state's violation path runs through. With workers == 1 the
-// engine reproduces the serial breadth-first search of the paper's Figures
-// 5 and 8 exactly, including expansion order.
+// drains), so the frontier is contention-free in the common case. Successor
+// states are only *proposed* during expansion — the visited-set claims
+// happen in one deterministic pass at the level barrier, in (level
+// position, sibling) order, so every state is claimed at its minimal BFS
+// depth by the same representative path at every worker count, and a
+// racing worker interleaving can never change which parent a state's
+// violation path runs through. With workers == 1 the engine reproduces the
+// serial breadth-first search of the paper's Figures 5 and 8 exactly,
+// including expansion order.
 //
 // With Config.Reduce on, expansion runs the sleep-set partial-order
 // reduction of reduce.go: network transitions slept by the claimed node's
@@ -188,17 +127,20 @@ func (c *collector) violations() []Violation {
 // the filtered, extended sleep sets. Because claims are deterministic at
 // the barrier, the sleep set attached to a claimed state — and therefore
 // the whole reduced exploration — is also identical at every worker count.
+//
+// The three hash sets need no locks: visited and locals are written only by
+// the single-threaded barrier pass, and local is only read while a level
+// expands — its claims are merged after the workers join.
 type engine struct {
 	s       *Search
 	workers int
 	prune   bool // consequence prediction's (node, local state) rule
 	reduce  bool // sleep-set partial-order reduction
-	legacy  bool // shared-cursor level FIFO instead of deques
 	red     Reducer
 	bdg     *budget
-	visited *shardedSet
-	local   *shardedSet // consequence-prediction dedup table
-	locals  *shardedSet // distinct node-local states over claimed states
+	visited map[uint64]struct{}
+	local   map[uint64]struct{} // consequence-prediction dedup table
+	locals  map[uint64]struct{} // distinct node-local states over claimed states
 	coll    *collector
 	deques  []wsDeque
 	// arrivals maps state hash → the claimed child of the current level
@@ -228,12 +170,11 @@ func newEngine(s *Search, workers int, prune bool) *engine {
 		workers: workers,
 		prune:   prune,
 		reduce:  s.cfg.Reduce,
-		legacy:  s.cfg.LegacyFrontier,
 		red:     s.cfg.Reducer,
-		bdg:     newBudget(s.cfg.Stop(), s.cfg.Now),
-		visited: newShardedSet(),
-		local:   newShardedSet(),
-		locals:  newShardedSet(),
+		bdg:     newBudget(s.cfg.Budget, s.cfg.Now),
+		visited: make(map[uint64]struct{}),
+		local:   make(map[uint64]struct{}),
+		locals:  make(map[uint64]struct{}),
 		coll:    newCollector(s.cfg.Budget.Violations),
 		deques:  make([]wsDeque, workers),
 		res:     make([]workerRes, workers),
@@ -252,7 +193,7 @@ func (e *engine) run(start *GState) *Result {
 	// Encoding and hash caches are populated at state construction (AddNode
 	// / ApplyEvent), so every cross-goroutine read of shared states is a
 	// pure read and Hash is an O(1) lookup of the incremental fingerprint.
-	e.visited.Add(start.Hash())
+	e.visited[start.Hash()] = struct{}{}
 	e.recordLocals(start.nodes, start.ids, nil)
 	e.growFrontier(int64(start.EncodedSize()))
 	level := []*searchNode{{state: start}}
@@ -269,19 +210,19 @@ func (e *engine) run(start *GState) *Result {
 		SleepHits:           int(e.ctr.sleepHits.Load()),
 		Steals:              int(e.ctr.steals.Load()),
 		StealFails:          int(e.ctr.stealFails.Load()),
-		DistinctLocalStates: e.locals.Len(),
+		DistinctLocalStates: len(e.locals),
 		Elapsed:             e.bdg.elapsed(),
 	}
 	res.TransitionsPruned = res.SleepHits + res.LocalPrunes
 	if e.s.cfg.RecordLocalStates {
-		res.LocalStates = e.locals.dump()
+		res.LocalStates = sortedKeys(e.locals)
 	}
 	if e.s.cfg.RecordClaimedStates {
-		res.ClaimedStates = e.visited.dump()
+		res.ClaimedStates = sortedKeys(e.visited)
 	}
 	// Hash-set entries cost roughly 16 bytes (8-byte key + bucket
 	// overhead amortised); frontier states dominate at shallow depths.
-	res.PeakMemoryBytes = e.ctr.peakBytes.Load() + int64(e.visited.Len()+e.local.Len())*16
+	res.PeakMemoryBytes = e.ctr.peakBytes.Load() + int64(len(e.visited)+len(e.local))*16
 	if res.StatesExplored > 0 {
 		res.PerStateBytes = float64(res.PeakMemoryBytes) / float64(res.StatesExplored)
 	}
@@ -295,13 +236,13 @@ func (e *engine) run(start *GState) *Result {
 func (e *engine) recordLocals(nodes map[sm.NodeID]*NodeState, ids []sm.NodeID, ev sm.Event) {
 	if ev == nil {
 		for _, id := range ids {
-			e.locals.Add(nodes[id].localHash())
+			e.locals[nodes[id].localHash()] = struct{}{}
 		}
 		return
 	}
 	if id, ok := eventNode(ev); ok {
 		if ns := nodes[id]; ns != nil {
-			e.locals.Add(ns.localHash())
+			e.locals[ns.localHash()] = struct{}{}
 		}
 	}
 }
@@ -334,8 +275,7 @@ func eventNode(ev sm.Event) (sm.NodeID, bool) {
 func (e *engine) processLevel(level []*searchNode) []*searchNode {
 	outs := make([][]*searchNode, len(level))
 	claims := make([][]uint64, e.workers)
-	switch {
-	case e.workers == 1 || len(level) == 1:
+	if e.workers == 1 || len(level) == 1 {
 		// Serial fast path: identical order to the paper's FIFO search.
 		for i, node := range level {
 			if !e.bdg.admitState() {
@@ -346,37 +286,13 @@ func (e *engine) processLevel(level []*searchNode) []*searchNode {
 				break
 			}
 		}
-	case e.legacy:
-		e.runLevelShared(level, outs, claims)
-	default:
+	} else {
 		e.runLevelSteal(level, outs, claims)
 	}
 	for w := range claims {
 		e.mergeClaims(claims[w])
 	}
 	return e.claimChildren(outs)
-}
-
-// runLevelShared is the legacy frontier: N workers pulling from the shared
-// level slice through one atomic cursor. Kept behind Config.LegacyFrontier
-// as the baseline BenchmarkParallelSearch compares the deques against.
-func (e *engine) runLevelShared(level []*searchNode, outs [][]*searchNode, claims [][]uint64) {
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(level) || e.bdg.exhausted() || !e.bdg.admitState() {
-					break
-				}
-				outs[i] = e.expandNode(level[i], &claims[w], &e.res[w])
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // runLevelSteal is the work-stealing frontier: each worker's deque is
@@ -460,7 +376,7 @@ func (e *engine) claimChildren(outs [][]*searchNode) []*searchNode {
 	for _, children := range outs {
 		for _, child := range children {
 			h := child.state.Hash()
-			if !e.visited.Add(h) {
+			if _, dup := e.visited[h]; dup {
 				if e.reduce {
 					if prior, ok := e.arrivals[h]; ok {
 						prior.sleep = intersectSleep(prior.sleep, child.sleep)
@@ -468,6 +384,7 @@ func (e *engine) claimChildren(outs [][]*searchNode) []*searchNode {
 				}
 				continue
 			}
+			e.visited[h] = struct{}{}
 			if e.reduce {
 				e.arrivals[h] = child
 			}
@@ -481,7 +398,7 @@ func (e *engine) claimChildren(outs [][]*searchNode) []*searchNode {
 
 func (e *engine) mergeClaims(claims []uint64) {
 	for _, lh := range claims {
-		e.local.Add(lh)
+		e.local[lh] = struct{}{}
 	}
 }
 
@@ -536,7 +453,7 @@ func (e *engine) expandNode(node *searchNode, claims *[]uint64, res *workerRes) 
 			pathViolated = next
 		}
 	}
-	if e.bdg.crit.MaxDepth > 0 && node.depth >= e.bdg.crit.MaxDepth {
+	if e.bdg.lim.Depth > 0 && node.depth >= e.bdg.lim.Depth {
 		return nil
 	}
 
@@ -614,7 +531,7 @@ func (e *engine) expandNode(node *searchNode, claims *[]uint64, res *workerRes) 
 		}
 		if e.prune {
 			lh := node.state.nodes[id].localHash()
-			if e.local.Has(lh) {
+			if _, seen := e.local[lh]; seen {
 				e.ctr.localPrunes.Add(int64(len(evs)))
 				continue
 			}

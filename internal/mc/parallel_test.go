@@ -32,8 +32,7 @@ func TestParallelMatchesSerialToy(t *testing.T) {
 				Props:         poisonAt(3),
 				Factory:       newToy,
 				Mode:          mode,
-				MaxDepth:      6,
-				Workers:       workers,
+				Budget:        Budget{Depth: 6, Workers: workers},
 				ExploreResets: true,
 			})
 			return s.Run(twoNodeStart())
@@ -62,8 +61,7 @@ func TestParallelViolationsSortedDeterministically(t *testing.T) {
 		Props:         poisonAt(2),
 		Factory:       newToy,
 		Mode:          Exhaustive,
-		MaxDepth:      6,
-		Workers:       4,
+		Budget:        Budget{Depth: 6, Workers: 4},
 		ExploreResets: true,
 	})
 	res := s.Run(twoNodeStart())
@@ -87,7 +85,7 @@ func TestParallelRandomWalk(t *testing.T) {
 			Mode:      RandomWalk,
 			Walks:     60,
 			WalkDepth: 20,
-			Workers:   workers,
+			Budget:    Budget{Workers: workers},
 			Seed:      1,
 		})
 		return s.Run(twoNodeStart())
@@ -157,7 +155,7 @@ func (firstEnabledStrategy) Explore(s *Search, start *GState, workers int) *Resu
 // TestReplayStopsAtFirstViolation: Replay returns the violated properties
 // of the earliest violating state along the path, not the path's end.
 func TestReplayStopsAtFirstViolation(t *testing.T) {
-	cfg := Config{Props: poisonAt(3), Factory: newToy, Mode: Consequence, MaxStates: 10000}
+	cfg := Config{Props: poisonAt(3), Factory: newToy, Mode: Consequence, Budget: Budget{States: 10000}}
 	res := NewSearch(cfg).Run(twoNodeStart())
 	if len(res.Violations) == 0 {
 		t.Fatal("setup: no violation")
@@ -188,7 +186,7 @@ func TestReplayViolatingStartState(t *testing.T) {
 // follows the corrective action (drop), so the downstream violation
 // becomes unreachable.
 func TestReplayHonorsFilters(t *testing.T) {
-	cfg := Config{Props: poisonAt(3), Factory: newToy, Mode: Consequence, MaxStates: 10000}
+	cfg := Config{Props: poisonAt(3), Factory: newToy, Mode: Consequence, Budget: Budget{States: 10000}}
 	res := NewSearch(cfg).Run(twoNodeStart())
 	if len(res.Violations) == 0 {
 		t.Fatal("setup: no violation")

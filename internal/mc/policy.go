@@ -8,11 +8,11 @@ import (
 )
 
 // This file is the checker's resource-control surface: a Budget value (the
-// per-Explore envelope the paper calls the StopCriterion, plus the worker
+// per-Explore envelope the paper calls the stop criterion, plus the worker
 // count that spends it) and a Policy that decides each round's Budget from
 // feedback. The policy seam is what separates exploration *policy* from the
 // search engine — the split MODIST and MaceMC draw, and the one the paper's
-// "adaptive" StopCriterion needs: consequence prediction must fit inside a
+// "adaptive" stop criterion needs: consequence prediction must fit inside a
 // live snapshot interval, and only a per-round policy watching snapshot
 // sizes and past throughput can size the search to do so.
 
@@ -39,18 +39,6 @@ type Budget struct {
 	// one worker the breadth-first strategies reproduce the paper's
 	// serial search exactly.
 	Workers int
-}
-
-// Stop projects the budget onto the paper's StopCriterion (the bounds
-// shared by every worker's admission check).
-func (b Budget) Stop() StopCriterion {
-	return StopCriterion{
-		MaxStates:      b.States,
-		MaxDepth:       b.Depth,
-		MaxWall:        b.Wall,
-		MaxViolations:  b.Violations,
-		MaxTransitions: b.Transitions,
-	}
 }
 
 // RoundInfo is what a Policy sees before planning a model-checking round.
@@ -112,10 +100,9 @@ type Policy interface {
 	Observe(RoundReport)
 }
 
-// FixedPolicy returns the same budget every round and ignores feedback:
-// exactly the pre-policy behavior of the scattered MCStates/MCDepth/Workers
-// scalars, and the paper-faithful default (mcheck output under FixedPolicy
-// is byte-identical to the scalar configuration at every worker count).
+// FixedPolicy returns the same budget every round and ignores feedback: the
+// paper-faithful default (every FixedPolicy round explores exactly what a
+// direct search with the same Budget explores, at every worker count).
 type FixedPolicy struct {
 	Budget Budget
 }
@@ -182,7 +169,7 @@ func (p *ScaledPolicy) Plan(in RoundInfo) Budget {
 // Observe implements Policy.
 func (p *ScaledPolicy) Observe(RoundReport) {}
 
-// AdaptivePolicy is the paper's adaptive StopCriterion: it keeps an EWMA of
+// AdaptivePolicy is the paper's adaptive stop criterion: it keeps an EWMA of
 // observed per-worker states/sec and sizes each round to finish within
 // TargetFraction of the snapshot interval. Two levers move together:
 //

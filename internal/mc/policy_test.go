@@ -194,65 +194,3 @@ func TestPolicySpecKinds(t *testing.T) {
 		t.Fatal("unknown kind accepted")
 	}
 }
-
-// TestConfigBudgetLegacyMerge: explicit Budget fields win over the
-// deprecated loose scalars, zero Budget fields fall back to them, and the
-// defaulted config mirrors the resolved budget into both forms.
-func TestConfigBudgetLegacyMerge(t *testing.T) {
-	cfg := Config{
-		Props:     poisonAt(1000),
-		Factory:   newToy,
-		Budget:    Budget{States: 111, Workers: 2},
-		MaxStates: 999, // loses to Budget.States
-		MaxDepth:  7,   // fills Budget.Depth
-	}
-	got := NewSearch(cfg).Config()
-	if got.Budget.States != 111 || got.MaxStates != 111 {
-		t.Fatalf("states = %d/%d, want 111/111", got.Budget.States, got.MaxStates)
-	}
-	if got.Budget.Depth != 7 || got.MaxDepth != 7 {
-		t.Fatalf("depth = %d/%d, want 7/7", got.Budget.Depth, got.MaxDepth)
-	}
-	if got.Budget.Workers != 2 || got.Workers != 2 {
-		t.Fatalf("workers = %d/%d, want 2/2", got.Budget.Workers, got.Workers)
-	}
-	if got.Stop() != (StopCriterion{MaxStates: 111, MaxDepth: 7}) {
-		t.Fatalf("Stop() = %+v", got.Stop())
-	}
-}
-
-// TestBudgetSearchMatchesLegacyConfig: a search configured through the
-// Budget value explores exactly what the legacy loose-scalar configuration
-// explored — the two forms are the same search.
-func TestBudgetSearchMatchesLegacyConfig(t *testing.T) {
-	legacy := Config{
-		Props:         poisonAt(4),
-		Factory:       newToy,
-		Mode:          Exhaustive,
-		ExploreResets: true,
-		Workers:       2,
-		MaxDepth:      5,
-		Seed:          3,
-	}
-	budget := Config{
-		Props:         poisonAt(4),
-		Factory:       newToy,
-		Mode:          Exhaustive,
-		ExploreResets: true,
-		Budget:        Budget{Depth: 5, Workers: 2},
-		Seed:          3,
-	}
-	a := NewSearch(legacy).Run(multiTimerStart())
-	b := NewSearch(budget).Run(multiTimerStart())
-	if a.StatesExplored != b.StatesExplored || a.Transitions != b.Transitions ||
-		len(a.Violations) != len(b.Violations) {
-		t.Fatalf("legacy %d/%d/%d vs budget %d/%d/%d",
-			a.StatesExplored, a.Transitions, len(a.Violations),
-			b.StatesExplored, b.Transitions, len(b.Violations))
-	}
-	for i := range a.Violations {
-		if a.Violations[i].StateHash != b.Violations[i].StateHash {
-			t.Fatalf("violation %d hash mismatch", i)
-		}
-	}
-}

@@ -49,37 +49,10 @@ type Config struct {
 	// algorithm.
 	Strategy Strategy
 	// Budget is the search's resource envelope: states, depth, wall
-	// clock, violations and workers in one value — what a Policy plans
-	// per round and what the engine and every strategy consume. Zero
-	// fields are filled from the deprecated loose scalars below, so
-	// legacy configurations keep working unchanged.
+	// clock, violations, transitions and workers in one value — what a
+	// Policy plans per round and what the engine and every strategy
+	// consume. Budget.Workers == 0 means GOMAXPROCS.
 	Budget Budget
-	// Workers is the number of exploration goroutines sharing the work
-	// queue (0 = GOMAXPROCS). With Workers == 1 the breadth-first
-	// strategies reproduce the serial search of the paper exactly.
-	//
-	// Deprecated: set Budget.Workers; this scalar fills the Budget only
-	// where it is zero.
-	Workers int
-	// MaxStates bounds explored states (0 = unbounded).
-	//
-	// Deprecated: set Budget.States.
-	MaxStates int
-	// MaxDepth bounds search depth (0 = unbounded).
-	//
-	// Deprecated: set Budget.Depth.
-	MaxDepth int
-	// MaxWall bounds wall-clock time (0 = unbounded); part of the
-	// paper's StopCriterion for runtime deployment.
-	//
-	// Deprecated: set Budget.Wall.
-	MaxWall time.Duration
-	// MaxViolations stops the search after this many distinct violating
-	// states (0 = collect all within other bounds); the reported
-	// Violations list is additionally deduplicated by Signature.
-	//
-	// Deprecated: set Budget.Violations.
-	MaxViolations int
 	// ExploreResets enables node-reset fault transitions.
 	ExploreResets bool
 	// MaxResetsPerPath bounds resets along a single path (default 1).
@@ -122,39 +95,12 @@ type Config struct {
 	// (Result.ClaimedStates). The distributed-search differential oracle
 	// compares this set against the union of the shards' claims.
 	RecordClaimedStates bool
-	// LegacyFrontier selects the pre-deque shared-cursor level FIFO.
-	//
-	// Deprecated: benchmark escape hatch only — BenchmarkParallelSearch
-	// compares the work-stealing deques against it.
-	LegacyFrontier bool
 	// Now is the clock the wall budget (Budget.Wall) and Result.Elapsed
 	// read (nil = time.Now). Injecting a fake clock makes wall-budget
 	// expiry unit-testable; it is the only wall-clock access in the
 	// checker, keeping everything else a deterministic function of the
 	// configuration.
 	Now func() time.Time
-}
-
-// mergeLegacy resolves the effective budget: explicit Budget fields win,
-// zero fields fall back to the deprecated loose scalars.
-func (c *Config) mergeLegacy() Budget {
-	b := c.Budget
-	if b.States == 0 {
-		b.States = c.MaxStates
-	}
-	if b.Depth == 0 {
-		b.Depth = c.MaxDepth
-	}
-	if b.Wall == 0 {
-		b.Wall = c.MaxWall
-	}
-	if b.Violations == 0 {
-		b.Violations = c.MaxViolations
-	}
-	if b.Workers == 0 {
-		b.Workers = c.Workers
-	}
-	return b
 }
 
 func (c *Config) defaults() {
@@ -173,15 +119,9 @@ func (c *Config) defaults() {
 	if c.Now == nil {
 		c.Now = time.Now
 	}
-	b := c.mergeLegacy()
-	if b.Workers <= 0 {
-		b.Workers = runtime.GOMAXPROCS(0)
+	if c.Budget.Workers <= 0 {
+		c.Budget.Workers = runtime.GOMAXPROCS(0)
 	}
-	c.Budget = b
-	// Mirror the resolved budget back into the deprecated scalars so
-	// code that still reads them observes the same bounds.
-	c.MaxStates, c.MaxDepth, c.MaxWall = b.States, b.Depth, b.Wall
-	c.MaxViolations, c.Workers = b.Violations, b.Workers
 }
 
 // strategy resolves the configured exploration algorithm.

@@ -14,6 +14,7 @@ import (
 	"crystalball/internal/services/chord"
 	"crystalball/internal/services/crdt"
 	"crystalball/internal/services/paxos"
+	"crystalball/internal/services/randtree"
 	"crystalball/internal/sm"
 )
 
@@ -105,8 +106,7 @@ func TestParallelChordDeterminism(t *testing.T) {
 			ExploreResets:     true,
 			ExploreConnBreaks: true,
 			MaxResetsPerPath:  1,
-			MaxDepth:          chordDeterminismDepth,
-			Workers:           workers,
+			Budget:            mc.Budget{Depth: chordDeterminismDepth, Workers: workers},
 		})
 		return s.Run(g)
 	}
@@ -129,11 +129,10 @@ func TestParallelPaxosDeterminism(t *testing.T) {
 	factory := paxos.New(paxos.Config{Members: []sm.NodeID{1, 2, 3}, Bug1: true})
 	run := func(workers int) *mc.Result {
 		s := mc.NewSearch(mc.Config{
-			Props:    paxos.Properties,
-			Factory:  factory,
-			Mode:     mc.Consequence,
-			MaxDepth: paxosDeterminismDepth,
-			Workers:  workers,
+			Props:   paxos.Properties,
+			Factory: factory,
+			Mode:    mc.Consequence,
+			Budget:  mc.Budget{Depth: paxosDeterminismDepth, Workers: workers},
 		})
 		return s.Run(paxosPostRound1Start(factory))
 	}
@@ -251,5 +250,37 @@ func TestHashOracleCRDT(t *testing.T) {
 			})
 			oracleWalkExt(t, s, tc.start(tc.factory), 25, 20, tc.seed)
 		})
+	}
+}
+
+// TestConsequenceRoundAllocBound gates the allocation cost of one whole
+// consequence-prediction round: the BenchmarkConsequencePrediction input (a
+// five-node randtree snapshot, faults on, 2,000 states, one worker). The
+// per-state contract lives in alloc_test.go; this bound also covers round
+// setup — the engine's hash sets, collector and worker workspaces — which
+// the per-state tests never see. It sits in the external test package
+// because randtree imports mc.
+func TestConsequenceRoundAllocBound(t *testing.T) {
+	factory := randtree.New(randtree.Config{Bootstrap: []sm.NodeID{1}, MaxChildren: 3})
+	g := mc.NewGState()
+	for i := 1; i <= 5; i++ {
+		g.AddNode(sm.NodeID(i), factory(sm.NodeID(i)), nil)
+	}
+	cfg := mc.Config{
+		Props:         randtree.Properties,
+		Factory:       factory,
+		Mode:          mc.Consequence,
+		Budget:        mc.Budget{States: 2000, Workers: 1},
+		ExploreResets: true,
+	}
+	var res *mc.Result
+	const maxAllocs = 823
+	if avg := testing.AllocsPerRun(20, func() {
+		res = mc.NewSearch(cfg).Run(g)
+	}); avg > maxAllocs {
+		t.Fatalf("consequence round allocates %.0f/op, want <= %d", avg, maxAllocs)
+	}
+	if res.StatesExplored == 0 {
+		t.Fatal("no states explored")
 	}
 }

@@ -5,34 +5,6 @@ import (
 	"time"
 )
 
-// StopCriterion unifies the search budgets: a search stops when any of the
-// non-zero bounds is reached. It is the "StopCriterion" the paper's runtime
-// deployment hands to consequence prediction so a round always finishes
-// within a snapshot interval.
-type StopCriterion struct {
-	// MaxStates bounds explored states (0 = unbounded).
-	MaxStates int
-	// MaxDepth bounds search depth (0 = unbounded).
-	MaxDepth int
-	// MaxWall bounds wall-clock time (0 = unbounded).
-	MaxWall time.Duration
-	// MaxViolations stops the search after this many distinct violating
-	// states (0 = collect all within other bounds).
-	MaxViolations int
-	// MaxTransitions bounds executed handler invocations (0 = unbounded):
-	// a deterministic stand-in for wall clock, since per-state cost is
-	// dominated by handler execution. It is the budget axis partial-order
-	// reduction actually stretches — at equal transitions a reduced search
-	// penetrates deeper than an unreduced one.
-	MaxTransitions int
-}
-
-// Stop returns the search's stop criterion, resolved from the budget (with
-// the deprecated loose scalars filling zero Budget fields).
-func (c *Config) Stop() StopCriterion {
-	return c.mergeLegacy().Stop()
-}
-
 // counters is the engine's shared telemetry block: exact atomic tallies of
 // work done (transitions executed), work avoided (consequence local prunes,
 // sleep-set hits) and work moved (deque steals and failed steal attempts).
@@ -55,25 +27,25 @@ type counters struct {
 // (a rejected admission is rolled back), so bounded runs never overshoot
 // regardless of worker count.
 type budget struct {
-	crit        StopCriterion
+	lim         Budget
 	now         func() time.Time // injected clock (Config.Now)
 	began       time.Time
-	deadline    time.Time // zero when MaxWall is unbounded
+	deadline    time.Time // zero when Wall is unbounded
 	states      atomic.Int64
 	transitions atomic.Int64
 	halted      atomic.Bool
 }
 
 // newBudget starts the accounting clock by reading now once; the same
-// injected clock serves the MaxWall deadline checks and Result.Elapsed, so a
+// injected clock serves the Wall deadline checks and Result.Elapsed, so a
 // fake clock exercises wall-budget expiry deterministically.
-func newBudget(crit StopCriterion, now func() time.Time) *budget {
+func newBudget(lim Budget, now func() time.Time) *budget {
 	if now == nil {
 		now = time.Now
 	}
-	b := &budget{crit: crit, now: now, began: now()}
-	if crit.MaxWall > 0 {
-		b.deadline = b.began.Add(crit.MaxWall)
+	b := &budget{lim: lim, now: now, began: now()}
+	if lim.Wall > 0 {
+		b.deadline = b.began.Add(lim.Wall)
 	}
 	return b
 }
@@ -91,7 +63,7 @@ func (b *budget) admitState() bool {
 		b.halted.Store(true)
 		return false
 	}
-	if n := b.states.Add(1); b.crit.MaxStates > 0 && n > int64(b.crit.MaxStates) {
+	if n := b.states.Add(1); b.lim.States > 0 && n > int64(b.lim.States) {
 		b.states.Add(-1)
 		b.halted.Store(true)
 		return false
@@ -100,18 +72,18 @@ func (b *budget) admitState() bool {
 }
 
 // admitTransition atomically claims one unit of the transition budget; it
-// returns false when MaxTransitions is exhausted (after rolling the claim
-// back, so the count is exact). Serial runs stop at a deterministic
+// returns false when the Transitions bound is exhausted (after rolling the
+// claim back, so the count is exact). Serial runs stop at a deterministic
 // transition prefix; with several workers which expansions land inside the
 // budget varies with scheduling, like every non-depth cutoff.
 func (b *budget) admitTransition() bool {
-	if b.crit.MaxTransitions <= 0 {
+	if b.lim.Transitions <= 0 {
 		return !b.halted.Load()
 	}
 	if b.halted.Load() {
 		return false
 	}
-	if n := b.transitions.Add(1); n > int64(b.crit.MaxTransitions) {
+	if n := b.transitions.Add(1); n > int64(b.lim.Transitions) {
 		b.transitions.Add(-1)
 		b.halted.Store(true)
 		return false
@@ -122,7 +94,7 @@ func (b *budget) admitTransition() bool {
 // refundTransition returns one admitted unit (the event turned out to be
 // inapplicable — no handler ran).
 func (b *budget) refundTransition() {
-	if b.crit.MaxTransitions > 0 {
+	if b.lim.Transitions > 0 {
 		b.transitions.Add(-1)
 	}
 }

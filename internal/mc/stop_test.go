@@ -23,7 +23,7 @@ func (f *fakeClock) Now() time.Time {
 // divided by the clock step, with no real sleeping involved.
 func TestBudgetWallExpiryFakeClock(t *testing.T) {
 	fc := &fakeClock{step: time.Millisecond}
-	b := newBudget(StopCriterion{MaxWall: 10 * time.Millisecond}, fc.Now)
+	b := newBudget(Budget{Wall: 10 * time.Millisecond}, fc.Now)
 	admitted := 0
 	for b.admitState() {
 		admitted++

@@ -74,13 +74,25 @@ type walkStrategy struct{}
 func (walkStrategy) Name() string { return "random-walk" }
 
 func (walkStrategy) Explore(s *Search, start *GState, workers int) *Result {
-	bdg := newBudget(s.cfg.Stop(), s.cfg.Now)
+	bdg := newBudget(s.cfg.Budget, s.cfg.Now)
 	coll := newCollector(s.cfg.Budget.Violations)
-	// seen dedups reports by (violating state, signature): the same state
-	// reached by different walks can carry different onsets and final
-	// events, and keying on the pair keeps the recorded set independent
-	// of which walk happens to arrive first.
-	seen := newShardedSet()
+	// firstReport dedups reports by (violating state, signature): the same
+	// state reached by different walks can carry different onsets and
+	// final events, and keying on the pair keeps the recorded set
+	// independent of which walk happens to arrive first. Walks run
+	// concurrently, so this is the one checker hash set behind a lock; it
+	// is touched only when a violation starts.
+	var seenMu sync.Mutex
+	seen := make(map[uint64]struct{})
+	firstReport := func(key uint64) bool {
+		seenMu.Lock()
+		defer seenMu.Unlock()
+		if _, dup := seen[key]; dup {
+			return false
+		}
+		seen[key] = struct{}{}
+		return true
+	}
 	var nextWalk, transitions, maxDepth atomic.Int64
 
 	var wg sync.WaitGroup
@@ -96,7 +108,7 @@ func (walkStrategy) Explore(s *Search, start *GState, workers int) *Result {
 				if walk >= s.cfg.Walks || bdg.exhausted() {
 					return
 				}
-				runWalk(s, start, walk, bdg, coll, seen, &transitions, &maxDepth, res)
+				runWalk(s, start, walk, bdg, coll, firstReport, &transitions, &maxDepth, res)
 			}
 		}()
 	}
@@ -114,7 +126,7 @@ func (walkStrategy) Explore(s *Search, start *GState, workers int) *Result {
 // runWalk performs one random walk of up to cfg.WalkDepth steps, using
 // res's reusable view and enumeration buffers.
 func runWalk(s *Search, start *GState, walk int, bdg *budget, coll *collector,
-	seen *shardedSet, transitions, maxDepth *atomic.Int64, res *workerRes) {
+	firstReport func(uint64) bool, transitions, maxDepth *atomic.Int64, res *workerRes) {
 	// A fixed odd multiplier spreads walk indices across seed space
 	// (splitmix64's golden-ratio increment).
 	rng := sm.NewRand(s.cfg.Seed ^ int64(walk+1)*-0x61c8864680b583eb)
@@ -143,7 +155,7 @@ func runWalk(s *Search, start *GState, walk int, bdg *budget, coll *collector,
 				}
 				sigHash := fnv.New64a()
 				sigHash.Write([]byte(v.Signature()))
-				if seen.Add(v.StateHash^sigHash.Sum64()) && coll.record(v) {
+				if firstReport(v.StateHash^sigHash.Sum64()) && coll.record(v) {
 					bdg.halt()
 					return
 				}

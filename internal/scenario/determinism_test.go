@@ -43,8 +43,8 @@ func TestWorkerCountDeterminismMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg.Mode = mc.Exhaustive
-				cfg.MaxDepth = d
-				cfg.Workers = workers
+				cfg.Budget.Depth = d
+				cfg.Budget.Workers = workers
 				cfg.Seed = 42
 				cfg.Reduce = reduce
 				return mc.NewSearch(cfg).Run(g)
@@ -80,17 +80,18 @@ func TestWorkerCountDeterminismMatrix(t *testing.T) {
 }
 
 // TestFixedPolicyMatchesLegacyConfigMatrix: for every registered scenario
-// and worker count, a search whose budget was planned by a FixedPolicy is
-// the *same search* as the pre-redesign loose-scalar configuration — same
-// states, same transitions, same violations. Combined with the engine's
-// worker-count determinism above, this pins the acceptance claim that
-// mcheck under FixedPolicy stays byte-identical to the pre-policy checker
-// at every worker count.
+// and worker count 1/2/4, a search whose budget was planned by a
+// FixedPolicy is the *same search* as one handed the Budget directly —
+// same states, same transitions, same violations. Combined with the
+// engine's worker-count determinism above, this pins that mcheck under
+// FixedPolicy explores exactly what its budget asks for at every worker
+// count.
 func TestFixedPolicyMatchesLegacyConfigMatrix(t *testing.T) {
 	for _, name := range scenario.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
+				budget := mc.Budget{Depth: 4, Workers: workers}
 				run := func(usePolicy bool) *mc.Result {
 					g, cfg, err := scenario.InitialState(name, scenario.Options{Nodes: 3})
 					if err != nil {
@@ -98,32 +99,27 @@ func TestFixedPolicyMatchesLegacyConfigMatrix(t *testing.T) {
 					}
 					cfg.Mode = mc.Exhaustive
 					cfg.Seed = 42
+					cfg.Budget = budget
 					if usePolicy {
-						pol := mc.PolicySpec{
-							Kind: mc.PolicyFixed,
-							Base: mc.Budget{Depth: 4, Workers: workers},
-						}.MustNew()
+						pol := mc.PolicySpec{Kind: mc.PolicyFixed, Base: budget}.MustNew()
 						cfg.Budget = pol.Plan(mc.RoundInfo{
 							Round:         1,
 							SnapshotBytes: g.EncodedSize(),
 							SnapshotNodes: len(g.Nodes()),
 						})
-					} else {
-						cfg.MaxDepth = 4
-						cfg.Workers = workers
 					}
 					return mc.NewSearch(cfg).Run(g)
 				}
-				legacy, policy := run(false), run(true)
-				if legacy.StatesExplored != policy.StatesExplored ||
-					legacy.Transitions != policy.Transitions ||
-					len(legacy.Violations) != len(policy.Violations) {
-					t.Fatalf("workers=%d: legacy %d/%d/%d vs policy %d/%d/%d",
-						workers, legacy.StatesExplored, legacy.Transitions, len(legacy.Violations),
+				direct, policy := run(false), run(true)
+				if direct.StatesExplored != policy.StatesExplored ||
+					direct.Transitions != policy.Transitions ||
+					len(direct.Violations) != len(policy.Violations) {
+					t.Fatalf("workers=%d: direct %d/%d/%d vs policy %d/%d/%d",
+						workers, direct.StatesExplored, direct.Transitions, len(direct.Violations),
 						policy.StatesExplored, policy.Transitions, len(policy.Violations))
 				}
-				for i := range legacy.Violations {
-					a, b := legacy.Violations[i], policy.Violations[i]
+				for i := range direct.Violations {
+					a, b := direct.Violations[i], policy.Violations[i]
 					if a.StateHash != b.StateHash || a.Depth != b.Depth {
 						t.Fatalf("workers=%d: violation %d differs", workers, i)
 					}

@@ -19,7 +19,8 @@ import (
 //
 // The scenario under test is a copy of randtree with the policy fields
 // rewritten per case; the resolved spec is observed through the
-// controller.Config that Deploy would install.
+// controller.Config that Deploy would install, and the controller's
+// defaults through the budget its first round runs with.
 func TestPolicyPrecedence(t *testing.T) {
 	cases := []struct {
 		label string
@@ -32,6 +33,9 @@ func TestPolicyPrecedence(t *testing.T) {
 		wantStates  int
 		wantWorkers int
 		wantErr     string
+		// wantRoundStates, when set, is the state budget the first
+		// deployed round must run with (controller defaults applied).
+		wantRoundStates int
 	}{
 		{
 			label:      "scenario CheckerPolicy states feed the resolved spec",
@@ -100,6 +104,11 @@ func TestPolicyPrecedence(t *testing.T) {
 			wantStates: 0,
 		},
 		{
+			label:           "nothing set anywhere runs rounds at the 20000-state controller default",
+			wantStates:      0,
+			wantRoundStates: 20000,
+		},
+		{
 			label:   "unknown kind is a Deploy-time error",
 			opts:    scenario.DeployOptions{Policy: "warp"},
 			wantErr: `unknown policy kind "warp"`,
@@ -146,13 +155,28 @@ func TestPolicyPrecedence(t *testing.T) {
 			if cfg.Policy.Base.Workers != tc.wantWorkers {
 				t.Errorf("workers = %d, want %d", cfg.Policy.Base.Workers, tc.wantWorkers)
 			}
-			// The deprecated mirror must agree with the resolved spec so
-			// legacy readers of controller.Config see the same bounds.
-			if tc.wantStates > 0 && cfg.MCStates != tc.wantStates {
-				t.Errorf("deprecated MCStates mirror = %d, want %d", cfg.MCStates, tc.wantStates)
+			if tc.wantRoundStates == 0 {
+				return
 			}
-			if tc.wantStates == 0 && cfg.MCStates != 20000 {
-				t.Errorf("MCStates fallback = %d, want controller default 20000", cfg.MCStates)
+			// Stub the checker so the round records its budget and
+			// explores nothing.
+			var ran []mc.Budget
+			cfg.CheckRound = func(c mc.Config, _ *mc.GState) (*mc.Result, error) {
+				ran = append(ran, c.Budget)
+				return &mc.Result{Workers: 1}, nil
+			}
+			opts.Controller = &cfg
+			opts.Workload = true
+			d, err := sc.Deploy(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Sim.RunFor(3 * cfg.SnapshotInterval)
+			if len(ran) == 0 {
+				t.Fatal("no checker round ran")
+			}
+			if ran[0].States != tc.wantRoundStates {
+				t.Errorf("round states = %d, want %d", ran[0].States, tc.wantRoundStates)
 			}
 		})
 	}

@@ -288,12 +288,6 @@ func (sc *Scenario) ControllerConfig(o DeployOptions) (controller.Config, error)
 		return controller.Config{}, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	cfg.Policy = spec
-	// Mirror the resolved base into the deprecated scalars so legacy
-	// readers of the controller config observe the same bounds.
-	if spec.Base.States > 0 {
-		cfg.MCStates = spec.Base.States
-	}
-	cfg.Workers = spec.Base.Workers
 	if o.PerStateCost > 0 {
 		cfg.PerStateCost = o.PerStateCost
 	}

@@ -260,8 +260,7 @@ func TestConsequencePredictionFindsFigure10(t *testing.T) {
 		ExploreResets:     true,
 		ExploreConnBreaks: true,
 		MaxResetsPerPath:  1,
-		MaxStates:         150000,
-		MaxViolations:     1,
+		Budget:            mc.Budget{States: 150000, Violations: 1},
 	})
 	res := s.Run(g)
 	if len(res.Violations) == 0 {

@@ -189,11 +189,10 @@ func TestMCPredictsBug1Violation(t *testing.T) {
 	factory := New(Config{Members: members, Bug1: true})
 	start := postRound1State(t, factory)
 	s := mc.NewSearch(mc.Config{
-		Props:         Properties,
-		Factory:       factory,
-		Mode:          mc.Consequence,
-		MaxStates:     120000,
-		MaxViolations: 1,
+		Props:   Properties,
+		Factory: factory,
+		Mode:    mc.Consequence,
+		Budget:  mc.Budget{States: 120000, Violations: 1},
 	})
 	res := s.Run(start)
 	if len(res.Violations) == 0 {
@@ -207,11 +206,10 @@ func TestMCDoesNotFlagCorrectPaxos(t *testing.T) {
 	factory := New(Config{Members: members})
 	start := postRound1State(t, factory)
 	s := mc.NewSearch(mc.Config{
-		Props:         Properties,
-		Factory:       factory,
-		Mode:          mc.Consequence,
-		MaxStates:     20000,
-		MaxViolations: 1,
+		Props:   Properties,
+		Factory: factory,
+		Mode:    mc.Consequence,
+		Budget:  mc.Budget{States: 20000, Violations: 1},
 	})
 	res := s.Run(start)
 	if len(res.Violations) != 0 {
