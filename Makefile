@@ -19,7 +19,7 @@ lint:
 	$(GO) run ./cmd/crystalvet ./...
 
 race:
-	$(GO) test -race ./internal/mc ./internal/controller ./internal/scenario/...
+	$(GO) test -race ./internal/mc ./internal/controller ./internal/scenario/... ./internal/dist
 
 # Re-record the "after" side of the committed benchmark artifact (run on a
 # quiet machine; commits the new numbers).

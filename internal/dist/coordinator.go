@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -520,10 +521,11 @@ func (c *Coordinator) merge(planned mc.Budget, workers int, reports []ShardRepor
 	}
 	// Hash ranges partition the space, so claimed sets are disjoint;
 	// locals overlap and need deduplication.
-	locals = sortDedup(locals)
+	slices.Sort(locals)
+	locals = slices.Compact(locals)
 	res.Checker.DistinctLocalStates = len(locals)
 	if recorded {
-		sort.Slice(claimed, func(i, j int) bool { return claimed[i] < claimed[j] })
+		slices.Sort(claimed)
 		res.Checker.ClaimedStates = claimed
 	}
 	res.Checker.Workers = workers
@@ -544,36 +546,16 @@ func (c *Coordinator) merge(planned mc.Budget, workers int, reports []ShardRepor
 	return res, nil
 }
 
-// mergeViolations deduplicates across shards by violated-property set,
-// keeping the minimal (depth, state hash) representative — the same rule
-// each shard applies locally — and materializes paths.
+// mergeViolations deduplicates across shards through the same
+// violationSet rule each shard applies locally, and materializes paths.
 func (c *Coordinator) mergeViolations(reports []ShardReport) ([]mc.Violation, error) {
-	bySig := make(map[string]int)
-	var kept []Violation
+	set := newViolationSet(0)
 	for i := range reports {
 		for _, v := range reports[i].Violations {
-			sig := strings.Join(v.Props, "|")
-			j, seen := bySig[sig]
-			if !seen {
-				bySig[sig] = len(kept)
-				kept = append(kept, v)
-				continue
-			}
-			old := kept[j]
-			if v.Depth < old.Depth || (v.Depth == old.Depth && v.StateHash < old.StateHash) {
-				kept[j] = v
-			}
+			set.record(v, nil)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].Depth != kept[j].Depth {
-			return kept[i].Depth < kept[j].Depth
-		}
-		if kept[i].StateHash != kept[j].StateHash {
-			return kept[i].StateHash < kept[j].StateHash
-		}
-		return strings.Join(kept[i].Props, "|") < strings.Join(kept[j].Props, "|")
-	})
+	kept := set.report(nil)
 	out := make([]mc.Violation, len(kept))
 	for i, v := range kept {
 		path := v.events
@@ -637,19 +619,4 @@ func splitShare(total, i, n int) int {
 		return q + 1
 	}
 	return q
-}
-
-// sortDedup sorts hs and removes duplicates in place.
-func sortDedup(hs []uint64) []uint64 {
-	if len(hs) == 0 {
-		return hs
-	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-	out := hs[:1]
-	for _, h := range hs[1:] {
-		if h != out[len(out)-1] {
-			out = append(out, h)
-		}
-	}
-	return out
 }

@@ -1,7 +1,8 @@
 // Package dist is the distributed sharded state-space search: the ROADMAP's
-// "scale across processes and machines" arc, built on the seams the earlier
-// platform work left open (mc.HashRange/Expander, mc.Budget/Policy,
-// PR 6's per-worker frontier).
+// "scale across processes and machines" arc, built on the checker's
+// sharding seams (mc.HashRange/Expander) and its search core: every shard
+// schedules its states with mc.Pool under an mc.Meter, the engine's own
+// level scheduler and budget accounting.
 //
 // The visited set is partitioned by hash range over the 64-bit state
 // fingerprint (mc.ShardRange): each shard owns one contiguous range and

@@ -1,14 +1,14 @@
 package dist
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"crystalball/internal/mc"
 	"crystalball/internal/sm"
-	"crystalball/internal/stats"
 )
 
 // ShardConfig parameterises one shard of an n-way distributed search.
@@ -22,7 +22,7 @@ type ShardConfig struct {
 	Index  int
 	Shards int
 	// Search is the scenario's checker configuration. Mode must be
-	// Exhaustive with no custom Strategy; Reduce is forced off (the
+	// Exhaustive; Reduce is forced off (the
 	// sleep-set reduction's same-level sibling claims are coordination the
 	// shards do not attempt). Every shard of a run must be built from a
 	// bit-identical configuration — same seed, same fault toggles — or the
@@ -85,82 +85,24 @@ func (n *node) eventPath() []sm.Event {
 	return out
 }
 
-// roundBudget is the shard's slice of the round's mc.Budget, with atomic
-// counters so expansion workers share it. Mirrors the engine's budget.
-type roundBudget struct {
-	maxStates      int64
-	maxDepth       int32
-	maxTransitions int64
-	deadline       time.Time
-	now            func() time.Time
-	states         stats.Counter // expansions admitted
-	transitions    stats.Counter
-	halted         stats.Counter // violation quota or fatal stop
-}
-
-func (b *roundBudget) admitState() bool {
-	if b.states.Add(1) > b.maxStates && b.maxStates > 0 {
-		return false
-	}
-	return b.halted.Load() == 0
-}
-
-func (b *roundBudget) admitTransition() bool {
-	if b.transitions.Add(1) > b.maxTransitions && b.maxTransitions > 0 {
-		return false
-	}
-	return true
-}
-
-func (b *roundBudget) refundTransition() { b.transitions.Add(-1) }
-
-func (b *roundBudget) halt() { b.halted.Store(1) }
-
-func (b *roundBudget) exhausted() bool {
-	if b.halted.Load() != 0 {
-		return true
-	}
-	if b.maxStates > 0 && b.states.Load() >= b.maxStates {
-		return true
-	}
-	if b.maxTransitions > 0 && b.transitions.Load() >= b.maxTransitions {
-		return true
-	}
-	return !b.deadline.IsZero() && b.now().After(b.deadline)
-}
-
-// expansions returns the admitted-expansion count, clamped to the budget
-// (racing workers may overshoot the atomic by their own admit).
-func (b *roundBudget) expansions() int64 {
-	n := b.states.Load()
-	if b.maxStates > 0 && n > b.maxStates {
-		n = b.maxStates
-	}
-	return n
-}
-
-// vioEntry is one recorded violation class: the canonical (sorted) violated
-// property set, with the minimal (depth, state hash) representative node.
-type vioEntry struct {
-	props []string
-	depth int32
-	hash  uint64
-	node  *node
-}
-
-// violationSet collects violations from expansion workers. Unlike the
-// serial engine — which reports each violation's path *onset* exactly once,
-// leaning on its deterministic claim order — a shard records the full
-// violated property set of every violating state it claims, and
-// deduplicates by that set. The result is a pure function of the claimed
-// state set, so the reported (props, depth, hash) triples are deterministic
-// at any shard and worker count; representative paths remain scheduling
-// telemetry. The quota counts record calls (violating expansions), an
-// intentionally loose analogue of the serial quota.
+// violationSet is dist's one violation rule. Unlike the serial engine —
+// which reports each violation's path *onset* exactly once, leaning on its
+// deterministic claim order — dist records the full violated property set
+// of every violating state and keeps, per canonical (sorted) set, the
+// minimal (depth, state hash) representative. The kept set is a pure
+// function of the claimed state set, so the reported (props, depth, hash)
+// triples are deterministic at any shard and worker count; representative
+// paths remain scheduling telemetry. Each shard records into one per round
+// from its expansion workers, and the coordinator merges the shards'
+// reports through another.
 type violationSet struct {
-	mu       sync.Mutex
-	bySig    map[string]int
-	list     []vioEntry
+	mu    sync.Mutex
+	bySig map[string]int
+	list  []Violation
+	nodes []*node // shard side: each kept violation's frontier node
+	// recorded counts record calls (violating expansions) against max, the
+	// round's quota (0 = unbounded) — an intentionally loose analogue of
+	// the serial quota.
 	recorded int
 	max      int
 }
@@ -169,10 +111,11 @@ func newViolationSet(max int) *violationSet {
 	return &violationSet{bySig: make(map[string]int), max: max}
 }
 
-// record merges one violating state and reports whether the quota is now
-// (or already was) filled. props must be sorted.
-func (c *violationSet) record(props []string, depth int32, hash uint64, n *node) bool {
-	sig := strings.Join(props, "|")
+// record merges one violation — with its frontier node on the shard side,
+// nil at the coordinator — and reports whether the quota is now (or
+// already was) filled. v.Props must be sorted.
+func (c *violationSet) record(v Violation, n *node) bool {
+	sig := strings.Join(v.Props, "|")
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.max > 0 && c.recorded >= c.max {
@@ -181,43 +124,39 @@ func (c *violationSet) record(props []string, depth int32, hash uint64, n *node)
 	c.recorded++
 	if i, seen := c.bySig[sig]; seen {
 		old := &c.list[i]
-		if depth < old.depth || (depth == old.depth && hash < old.hash) {
-			old.depth, old.hash, old.node = depth, hash, n
+		if v.Depth < old.Depth || (v.Depth == old.Depth && v.StateHash < old.StateHash) {
+			c.list[i], c.nodes[i] = v, n
 		}
 	} else {
 		c.bySig[sig] = len(c.list)
-		c.list = append(c.list, vioEntry{props: props, depth: depth, hash: hash, node: n})
+		c.list = append(c.list, v)
+		c.nodes = append(c.nodes, n)
 	}
 	return c.max > 0 && c.recorded >= c.max
 }
 
-// report renders the collected set sorted by (depth, hash, signature),
-// materializing descriptor paths (and real event paths where the chain
-// never crossed a wire).
+// report returns the kept violations sorted by (depth, hash, props),
+// materializing each shard-side representative's descriptor path (and its
+// real event path where the chain never crossed a wire).
 func (c *violationSet) report(scratch *sm.Encoder) []Violation {
 	c.mu.Lock()
-	entries := make([]vioEntry, len(c.list))
-	copy(entries, c.list)
-	c.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].depth != entries[j].depth {
-			return entries[i].depth < entries[j].depth
+	defer c.mu.Unlock()
+	out := make([]Violation, len(c.list))
+	for i, v := range c.list {
+		if n := c.nodes[i]; n != nil {
+			v.Path, v.events = n.descPath(scratch), n.eventPath()
 		}
-		if entries[i].hash != entries[j].hash {
-			return entries[i].hash < entries[j].hash
-		}
-		return strings.Join(entries[i].props, "|") < strings.Join(entries[j].props, "|")
-	})
-	out := make([]Violation, len(entries))
-	for i, en := range entries {
-		out[i] = Violation{
-			Props:     en.props,
-			Depth:     en.depth,
-			StateHash: en.hash,
-			Path:      en.node.descPath(scratch),
-			events:    en.node.eventPath(),
-		}
+		out[i] = v
 	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Depth != out[j].Depth {
+			return out[i].Depth < out[j].Depth
+		}
+		if out[i].StateHash != out[j].StateHash {
+			return out[i].StateHash < out[j].StateHash
+		}
+		return strings.Join(out[i].Props, "|") < strings.Join(out[j].Props, "|")
+	})
 	return out
 }
 
@@ -264,8 +203,12 @@ func (f *frontier) clear() {
 
 // shard is one partition's engine: the visited map for its hash range, the
 // depth-bucketed frontier, the per-owner outgoing batches, and the round
-// protocol state. All fields except the expansion-phase counters are
-// touched only from the shard's main goroutine.
+// protocol state. Each depth bucket is scheduled by the checker's Pool
+// under the round's Meter — the engine's level scheduler and budget
+// accounting — so only the frontier, min-depth re-expansion and the
+// violation rule are the shard's own. All fields except the
+// expansion-phase meter, transition count and violation set are touched
+// only from the shard's main goroutine.
 type shard struct {
 	cfg     ShardConfig
 	slot    int // this round's partition slot
@@ -289,20 +232,32 @@ type shard struct {
 	out       [][]ForwardState
 	res       []*mc.Expander
 
-	bdg      roundBudget
-	vio      *violationSet
-	maxDepth stats.Counter
-	workers  int
-	received int64
-	record   bool
-	st       Stats
+	meter *mc.Meter
+	pool  *mc.Pool
+	depth int32 // the round's depth bound (0 = unbounded)
+	// transitions counts successful successor applications (the meter
+	// counts transitions only under a Transitions bound).
+	transitions atomic.Int64
+	maxDepth    int32 // deepest bucket with an admitted expansion
+	vio         *violationSet
+	received    int64
+	record      bool
+	st          Stats
+	// bucket and outs are the depth bucket in flight and its proposed
+	// successors, shared with the Pool's workers through expandAt — built
+	// once per shard, so scheduling a bucket allocates no closure. Both
+	// are cleared once the bucket is expanded: forwarded successors must
+	// not outlive their batch.
+	bucket   []*node
+	outs     [][]*node
+	expandAt func(i, w int)
 }
 
 func newShard(conn Conn, cfg ShardConfig) (*shard, error) {
 	if cfg.Shards <= 0 || cfg.Index < 0 || cfg.Index >= cfg.Shards {
 		return nil, errorf("bad shard index %d of %d", cfg.Index, cfg.Shards)
 	}
-	if cfg.Search.Strategy != nil || cfg.Search.Mode != mc.Exhaustive {
+	if cfg.Search.Mode != mc.Exhaustive {
 		return nil, errorf("distributed search supports Exhaustive mode only")
 	}
 	if cfg.Root == nil {
@@ -312,7 +267,7 @@ func newShard(conn Conn, cfg ShardConfig) (*shard, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	return &shard{
+	sh := &shard{
 		cfg:     cfg,
 		slot:    cfg.Index,
 		slots:   cfg.Shards,
@@ -320,7 +275,11 @@ func newShard(conn Conn, cfg ShardConfig) (*shard, error) {
 		search:  mc.NewSearch(cfg.Search),
 		conn:    conn,
 		scratch: sm.NewEncoder(),
-	}, nil
+	}
+	sh.expandAt = func(i, w int) {
+		sh.outs[i] = sh.expand(sh.bucket[i], sh.res[w])
+	}
+	return sh, nil
 }
 
 // RunShard serves one shard over conn until Shutdown or a connection
@@ -410,24 +369,15 @@ func (sh *shard) startRound(rs RoundStart) error {
 	}
 	sh.rng = mc.ShardRange(sh.slot, sh.slots)
 	b := rs.Budget
-	sh.workers = b.Workers
-	if sh.workers <= 0 {
-		sh.workers = 1
-	}
-	for len(sh.res) < sh.workers {
+	for len(sh.res) < max(b.Workers, 1) {
 		sh.res = append(sh.res, sh.search.NewExpander())
 	}
-	sh.bdg = roundBudget{
-		maxStates:      int64(b.States),
-		maxDepth:       int32(b.Depth),
-		maxTransitions: int64(b.Transitions),
-		now:            sh.search.Config().Now,
-	}
-	if b.Wall > 0 {
-		sh.bdg.deadline = sh.bdg.now().Add(b.Wall)
-	}
+	sh.meter = mc.NewMeter(b, sh.search.Config().Now)
+	sh.pool = mc.NewPool(b.Workers)
+	sh.depth = int32(b.Depth)
+	sh.transitions.Store(0)
+	sh.maxDepth = 0
 	sh.vio = newViolationSet(b.Violations)
-	sh.maxDepth.Store(0)
 	sh.visited = make(map[uint64]int32)
 	sh.fwd = make(map[uint64]int32)
 	sh.locals = make(map[uint64]struct{})
@@ -480,7 +430,7 @@ func (sh *shard) claim(n *node, h uint64) {
 // after the drain would re-expand its whole subtree.
 func (sh *shard) drainAndIdle(pending *Msg) error {
 	for sh.fr.count > 0 {
-		if sh.bdg.exhausted() {
+		if sh.meter.Exhausted() {
 			sh.fr.clear()
 			break
 		}
@@ -527,35 +477,18 @@ func (sh *shard) pollBatches(pending *Msg) error {
 	}
 }
 
-// processBucket expands one depth bucket — in parallel when the shard has
-// more than one worker — then claims and routes the proposed successors in
-// deterministic (bucket position, sibling) order.
+// processBucket expands one depth bucket on the Pool — in parallel when
+// the shard has more than one worker — then claims and routes the proposed
+// successors in deterministic (bucket position, sibling) order.
 func (sh *shard) processBucket(bucket []*node) error {
-	outs := make([][]*node, len(bucket))
-	if sh.workers == 1 || len(bucket) == 1 {
-		for i, n := range bucket {
-			if sh.bdg.exhausted() || !sh.bdg.admitState() {
-				break
-			}
-			outs[i] = sh.expand(n, sh.res[0])
-		}
-	} else {
-		var cursor stats.Counter
-		var wg sync.WaitGroup
-		for w := 0; w < sh.workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					i := int(cursor.Inc()) - 1
-					if i >= len(bucket) || sh.bdg.exhausted() || !sh.bdg.admitState() {
-						return
-					}
-					outs[i] = sh.expand(bucket[i], sh.res[w])
-				}
-			}(w)
-		}
-		wg.Wait()
+	sh.bucket, sh.outs = bucket, make([][]*node, len(bucket))
+	admitted := sh.meter.States()
+	sh.pool.Level(len(bucket), sh.meter, sh.expandAt)
+	outs := sh.outs
+	sh.bucket, sh.outs = nil, nil
+	if sh.meter.States() > admitted {
+		// A bucket holds one depth, so its depth was reached.
+		sh.maxDepth = max(sh.maxDepth, bucket[0].depth)
 	}
 	for _, children := range outs {
 		for _, child := range children {
@@ -571,26 +504,26 @@ func (sh *shard) processBucket(bucket []*node) error {
 // successors (unless the state sits at the depth bound). Safe to call from
 // expansion workers; x is the calling worker's workspace.
 func (sh *shard) expand(n *node, x *mc.Expander) []*node {
-	sh.maxDepth.Max(int64(n.depth))
 	if violated := x.Check(n.state); len(violated) > 0 {
 		sort.Strings(violated)
-		if sh.vio.record(violated, n.depth, n.state.Hash(), n) {
-			sh.bdg.halt()
+		if sh.vio.record(Violation{Props: violated, Depth: n.depth, StateHash: n.state.Hash()}, n) {
+			sh.meter.Halt()
 		}
 	}
-	if sh.bdg.maxDepth > 0 && n.depth >= sh.bdg.maxDepth {
+	if sh.depth > 0 && n.depth >= sh.depth {
 		return nil
 	}
 	var children []*node
 	x.Events(n.state, func(ev sm.Event) {
-		if !sh.bdg.admitTransition() {
+		if !sh.meter.AdmitTransition() {
 			return
 		}
 		next := sh.search.ApplyEvent(n.state, ev)
 		if next == nil {
-			sh.bdg.refundTransition()
+			sh.meter.RefundTransition()
 			return
 		}
+		sh.transitions.Add(1)
 		children = append(children, &node{
 			state: next, parent: n, event: ev, depth: n.depth + 1,
 		})
@@ -649,7 +582,7 @@ func (sh *shard) ingest(b Batch) error {
 		return errorf("shard %d: misrouted batch for slot %d (holding slot %d)", sh.cfg.Index, b.To, sh.slot)
 	}
 	sh.st.StatesReceived += int64(len(b.States))
-	if sh.bdg.exhausted() {
+	if sh.meter.Exhausted() {
 		return nil
 	}
 	for i := range b.States {
@@ -742,36 +675,26 @@ func (sh *shard) report() ShardReport {
 	r := ShardReport{
 		Shard:       sh.slot,
 		States:      int64(len(sh.visited)),
-		Expansions:  sh.bdg.expansions(),
-		Transitions: sh.bdg.transitions.Load(),
-		MaxDepth:    int32(sh.maxDepth.Load()),
-		Exhausted:   sh.bdg.exhausted(),
+		Expansions:  int64(sh.meter.States()),
+		Transitions: sh.transitions.Load(),
+		MaxDepth:    sh.maxDepth,
+		Exhausted:   sh.meter.Exhausted(),
 		Violations:  sh.vio.report(sh.scratch),
 		Stats:       sh.st,
-		Locals:      dumpSet(sh.locals),
+		Locals:      sortedKeys(sh.locals),
 	}
 	if sh.record {
-		r.Claimed = dumpDepthMap(sh.visited)
+		r.Claimed = sortedKeys(sh.visited)
 	}
 	return r
 }
 
-// dumpSet returns the sorted members (collect, then sort).
-func dumpSet(m map[uint64]struct{}) []uint64 {
+// sortedKeys returns a fingerprint-keyed map's keys in ascending order.
+func sortedKeys[V any](m map[uint64]V) []uint64 {
 	out := make([]uint64, 0, len(m))
 	for h := range m {
 		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// dumpDepthMap returns the sorted keys (collect, then sort).
-func dumpDepthMap(m map[uint64]int32) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for h := range m {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -106,11 +106,9 @@ func (c *collector) violations() []Violation {
 }
 
 // engine is the worker-pool breadth-first explorer shared by the Exhaustive
-// and Consequence strategies. Exploration is level-synchronized: all
-// frontier states of depth d are expanded before any state of depth d+1.
-// Within a level each worker owns a Chase-Lev deque seeded with a
-// contiguous chunk of the level (LIFO local pops, FIFO steals when a chunk
-// drains), so the frontier is contention-free in the common case. Successor
+// and Consequence modes. Exploration is level-synchronized: all frontier
+// states of depth d are expanded before any state of depth d+1, each level
+// scheduled by the Pool (a work-stealing deque per worker). Successor
 // states are only *proposed* during expansion — the visited-set claims
 // happen in one deterministic pass at the level barrier, in (level
 // position, sibling) order, so every state is claimed at its minimal BFS
@@ -133,16 +131,14 @@ func (c *collector) violations() []Violation {
 // expands — its claims are merged after the workers join.
 type engine struct {
 	s       *Search
-	workers int
 	prune   bool // consequence prediction's (node, local state) rule
 	reduce  bool // sleep-set partial-order reduction
-	red     Reducer
-	bdg     *budget
+	meter   *Meter
+	pool    *Pool
 	visited map[uint64]struct{}
 	local   map[uint64]struct{} // consequence-prediction dedup table
 	locals  map[uint64]struct{} // distinct node-local states over claimed states
 	coll    *collector
-	deques  []wsDeque
 	// arrivals maps state hash → the claimed child of the current level
 	// (reduction only): duplicate same-level proposals intersect their
 	// sleep sets into the claimed child's, restoring the promises state
@@ -154,29 +150,34 @@ type engine struct {
 	// per-state path allocates only for the successors it actually keeps.
 	res []workerRes
 	ctr counters
+	// level and outs are the BFS level in flight and its proposed
+	// children, shared with the Pool's workers through expandAt — built
+	// once per engine, so scheduling a level allocates no closure.
+	level    []*searchNode
+	outs     [][]*searchNode
+	expandAt func(i, w int)
 }
 
 // workerRes is one worker's reusable per-state workspace.
 type workerRes struct {
-	view *props.View
-	evb  eventBuf
-	sibs []sleepKey  // explored-sibling descriptors (reduction)
-	enc  *sm.Encoder // app-call fingerprint scratch (reduction)
+	view   *props.View
+	evb    eventBuf
+	claims []uint64    // consequence (node, local state) claims of this level
+	sibs   []sleepKey  // explored-sibling descriptors (reduction)
+	enc    *sm.Encoder // app-call fingerprint scratch (reduction)
 }
 
 func newEngine(s *Search, workers int, prune bool) *engine {
 	e := &engine{
 		s:       s,
-		workers: workers,
 		prune:   prune,
 		reduce:  s.cfg.Reduce,
-		red:     s.cfg.Reducer,
-		bdg:     newBudget(s.cfg.Budget, s.cfg.Now),
+		meter:   NewMeter(s.cfg.Budget, s.cfg.Now),
+		pool:    NewPool(workers),
 		visited: make(map[uint64]struct{}),
 		local:   make(map[uint64]struct{}),
 		locals:  make(map[uint64]struct{}),
 		coll:    newCollector(s.cfg.Budget.Violations),
-		deques:  make([]wsDeque, workers),
 		res:     make([]workerRes, workers),
 	}
 	for w := range e.res {
@@ -185,6 +186,9 @@ func newEngine(s *Search, workers int, prune bool) *engine {
 	}
 	if e.reduce {
 		e.arrivals = make(map[uint64]*searchNode)
+	}
+	e.expandAt = func(i, w int) {
+		e.outs[i] = e.expandNode(e.level[i], &e.res[w])
 	}
 	return e
 }
@@ -197,21 +201,21 @@ func (e *engine) run(start *GState) *Result {
 	e.recordLocals(start.nodes, start.ids, nil)
 	e.growFrontier(int64(start.EncodedSize()))
 	level := []*searchNode{{state: start}}
-	for len(level) > 0 && !e.bdg.exhausted() {
+	for len(level) > 0 && !e.meter.Exhausted() {
 		level = e.processLevel(level)
 	}
 
 	res := &Result{
 		Violations:          e.coll.violations(),
-		StatesExplored:      e.bdg.statesAdmitted(),
+		StatesExplored:      e.meter.States(),
 		Transitions:         int(e.ctr.transitions.Load()),
 		MaxDepthReached:     int(e.ctr.maxDepth.Load()),
 		LocalPrunes:         int(e.ctr.localPrunes.Load()),
 		SleepHits:           int(e.ctr.sleepHits.Load()),
-		Steals:              int(e.ctr.steals.Load()),
-		StealFails:          int(e.ctr.stealFails.Load()),
+		Steals:              int(e.pool.steals.Load()),
+		StealFails:          int(e.pool.stealFails.Load()),
 		DistinctLocalStates: len(e.locals),
-		Elapsed:             e.bdg.elapsed(),
+		Elapsed:             e.meter.elapsed(),
 	}
 	res.TransitionsPruned = res.SleepHits + res.LocalPrunes
 	if e.s.cfg.RecordLocalStates {
@@ -273,88 +277,15 @@ func eventNode(ev sm.Event) (sm.NodeID, bool) {
 // levels and the claim order is a pure function of the level's order, so
 // the exploration is identical at every worker count.
 func (e *engine) processLevel(level []*searchNode) []*searchNode {
-	outs := make([][]*searchNode, len(level))
-	claims := make([][]uint64, e.workers)
-	if e.workers == 1 || len(level) == 1 {
-		// Serial fast path: identical order to the paper's FIFO search.
-		for i, node := range level {
-			if !e.bdg.admitState() {
-				break
-			}
-			outs[i] = e.expandNode(node, &claims[0], &e.res[0])
-			if e.bdg.exhausted() {
-				break
-			}
+	e.level, e.outs = level, make([][]*searchNode, len(level))
+	e.pool.Level(len(level), e.meter, e.expandAt)
+	for w := range e.res {
+		for _, lh := range e.res[w].claims {
+			e.local[lh] = struct{}{}
 		}
-	} else {
-		e.runLevelSteal(level, outs, claims)
+		e.res[w].claims = e.res[w].claims[:0]
 	}
-	for w := range claims {
-		e.mergeClaims(claims[w])
-	}
-	return e.claimChildren(outs)
-}
-
-// runLevelSteal is the work-stealing frontier: each worker's deque is
-// seeded with a contiguous chunk of the level; owners pop LIFO from their
-// own deque and steal FIFO from round-robin victims once it drains.
-func (e *engine) runLevelSteal(level []*searchNode, outs [][]*searchNode, claims [][]uint64) {
-	chunk := (len(level) + e.workers - 1) / e.workers
-	for w := 0; w < e.workers; w++ {
-		lo := w * chunk
-		if lo > len(level) {
-			lo = len(level)
-		}
-		hi := lo + chunk
-		if hi > len(level) {
-			hi = len(level)
-		}
-		e.deques[w].reset(lo, hi-lo)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for !e.bdg.exhausted() {
-				idx, ok := e.deques[w].pop()
-				if !ok {
-					idx, ok = e.stealWork(w)
-					if !ok {
-						return
-					}
-				}
-				if !e.bdg.admitState() {
-					return
-				}
-				outs[idx] = e.expandNode(level[idx], &claims[w], &e.res[w])
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// stealWork scans the other workers' deques round-robin for an item. It
-// returns ok=false only once every deque is empty; a lost CAS (the item
-// went to someone else) counts as a steal failure and rescans.
-func (e *engine) stealWork(w int) (int32, bool) {
-	for {
-		drained := true
-		for off := 1; off < e.workers; off++ {
-			idx, ok, raced := e.deques[(w+off)%e.workers].steal()
-			if ok {
-				e.ctr.steals.Add(1)
-				return idx, true
-			}
-			if raced {
-				e.ctr.stealFails.Add(1)
-				drained = false
-			}
-		}
-		if drained {
-			return 0, false
-		}
-	}
+	return e.claimChildren(e.outs)
 }
 
 // claimChildren runs the deterministic claim pass of the level barrier:
@@ -396,12 +327,6 @@ func (e *engine) claimChildren(outs [][]*searchNode) []*searchNode {
 	return next
 }
 
-func (e *engine) mergeClaims(claims []uint64) {
-	for _, lh := range claims {
-		e.local[lh] = struct{}{}
-	}
-}
-
 func (e *engine) growFrontier(delta int64) {
 	atomicMax(&e.ctr.peakBytes, e.ctr.frontierBytes.Add(delta))
 }
@@ -409,15 +334,15 @@ func (e *engine) growFrontier(delta int64) {
 // expandNode explores one admitted state: check properties, expand
 // successors (cloning before every handler invocation, so the shared
 // predecessor state is never written), and return the proposed children —
-// the level barrier claims them. Consequence (node, local state) claims go
-// to *claims for the level-barrier merge. res is the calling worker's
-// reusable workspace: the property-check view and enumeration buffers are
-// refilled per state instead of reallocated. With reduction on, network
+// the level barrier claims them. res is the calling worker's reusable
+// workspace: the property-check view and enumeration buffers are refilled
+// per state instead of reallocated, and consequence (node, local state)
+// claims collect in res.claims for the level-barrier merge. With reduction on, network
 // transitions slept by node's sleep set are skipped and each child carries
 // its inherited-and-extended sleep set (reduce.go).
 //
 //crystal:hotpath
-func (e *engine) expandNode(node *searchNode, claims *[]uint64, res *workerRes) []*searchNode {
+func (e *engine) expandNode(node *searchNode, res *workerRes) []*searchNode {
 	e.ctr.frontierBytes.Add(-int64(node.state.EncodedSize()))
 	atomicMax(&e.ctr.maxDepth, int64(node.depth))
 
@@ -441,7 +366,7 @@ func (e *engine) expandNode(node *searchNode, claims *[]uint64, res *workerRes) 
 				StateHash:  node.state.Hash(),
 				Depth:      node.depth,
 			}) {
-				e.bdg.halt()
+				e.meter.Halt()
 			}
 			next := make(map[string]bool, len(pathViolated)+len(onset))
 			for p := range pathViolated {
@@ -453,18 +378,18 @@ func (e *engine) expandNode(node *searchNode, claims *[]uint64, res *workerRes) 
 			pathViolated = next
 		}
 	}
-	if e.bdg.lim.Depth > 0 && node.depth >= e.bdg.lim.Depth {
+	if e.meter.lim.Depth > 0 && node.depth >= e.meter.lim.Depth {
 		return nil
 	}
 
 	var children []*searchNode
 	expand := func(ev sm.Event, sleep sleepSet) bool {
-		if !e.bdg.admitTransition() {
+		if !e.meter.AdmitTransition() {
 			return false
 		}
 		next := e.s.ApplyEvent(node.state, ev)
 		if next == nil {
-			e.bdg.refundTransition()
+			e.meter.RefundTransition()
 			return false
 		}
 		e.ctr.transitions.Add(1)
@@ -485,7 +410,7 @@ func (e *engine) expandNode(node *searchNode, claims *[]uint64, res *workerRes) 
 			expand(ev, nil)
 			continue
 		}
-		k, ok := e.red.Classify(ev)
+		k, ok := classify(ev)
 		if !ok {
 			// Unclassified network transition: never slept, and its
 			// effects are unknown, so children start a fresh sleep set.
@@ -535,7 +460,7 @@ func (e *engine) expandNode(node *searchNode, claims *[]uint64, res *workerRes) 
 				e.ctr.localPrunes.Add(int64(len(evs)))
 				continue
 			}
-			*claims = append(*claims, lh)
+			res.claims = append(res.claims, lh)
 		}
 		for _, ev := range evs {
 			if !e.reduce {
@@ -546,7 +471,7 @@ func (e *engine) expandNode(node *searchNode, claims *[]uint64, res *workerRes) 
 				expand(ev, nil)
 				continue
 			}
-			k, ok := e.red.Classify(ev)
+			k, ok := classify(ev)
 			if !ok {
 				if ae, isApp := ev.(sm.AppEvent); isApp {
 					res.enc.Reset()

@@ -100,56 +100,6 @@ func TestParallelRandomWalk(t *testing.T) {
 	}
 }
 
-// TestCustomStrategyPluggable: Config.Strategy overrides Mode, and a
-// strategy built from the exported EnabledEvents/ApplyEvent surface can
-// drive its own exploration.
-func TestCustomStrategyPluggable(t *testing.T) {
-	s := NewSearch(Config{
-		Props:    poisonAt(3),
-		Factory:  newToy,
-		Mode:     RandomWalk, // must be ignored in favor of Strategy
-		Strategy: firstEnabledStrategy{},
-	})
-	res := s.Run(twoNodeStart())
-	if res.StatesExplored == 0 {
-		t.Fatal("custom strategy explored nothing")
-	}
-	if res.Workers == 0 {
-		t.Fatal("worker count not reported")
-	}
-}
-
-// firstEnabledStrategy walks the single path of always-first enabled
-// events, demonstrating an externally assembled Strategy.
-type firstEnabledStrategy struct{}
-
-func (firstEnabledStrategy) Name() string { return "first-enabled" }
-
-func (firstEnabledStrategy) Explore(s *Search, start *GState, workers int) *Result {
-	res := &Result{}
-	g := start
-	for depth := 0; depth < 10; depth++ {
-		res.StatesExplored++
-		network, internal := s.EnabledEvents(g)
-		all := network
-		for _, id := range g.Nodes() {
-			all = append(all, internal[id]...)
-		}
-		var next *GState
-		for _, ev := range all {
-			if next = s.ApplyEvent(g, ev); next != nil {
-				break
-			}
-		}
-		if next == nil {
-			break
-		}
-		res.Transitions++
-		g = next
-	}
-	return res
-}
-
 // --- Replay and filter-application coverage ---------------------------------
 
 // TestReplayStopsAtFirstViolation: Replay returns the violated properties

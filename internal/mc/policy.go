@@ -36,7 +36,7 @@ type Budget struct {
 	// equal transition budget a reduced search penetrates deeper.
 	Transitions int
 	// Workers is the exploration worker-pool size (0 = GOMAXPROCS). With
-	// one worker the breadth-first strategies reproduce the paper's
+	// one worker the breadth-first modes reproduce the paper's
 	// serial search exactly.
 	Workers int
 }

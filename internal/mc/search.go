@@ -9,8 +9,7 @@ import (
 	"crystalball/internal/sm"
 )
 
-// Mode selects the built-in exploration algorithm (see Strategy for the
-// pluggable form; StrategyFor maps one to the other).
+// Mode selects the exploration algorithm.
 type Mode int
 
 // Exploration modes.
@@ -28,7 +27,16 @@ const (
 	RandomWalk
 )
 
-func (m Mode) String() string { return StrategyFor(m).Name() }
+func (m Mode) String() string {
+	switch m {
+	case Exhaustive:
+		return "exhaustive"
+	case Consequence:
+		return "consequence"
+	default:
+		return "random-walk"
+	}
+}
 
 // Config parameterises a search.
 type Config struct {
@@ -45,12 +53,9 @@ type Config struct {
 	Factory sm.Factory
 	// Mode selects the algorithm.
 	Mode Mode
-	// Strategy, when non-nil, overrides Mode with a custom exploration
-	// algorithm.
-	Strategy Strategy
 	// Budget is the search's resource envelope: states, depth, wall
 	// clock, violations, transitions and workers in one value — what a
-	// Policy plans per round and what the engine and every strategy
+	// Policy plans per round and what the engine and the random walk
 	// consume. Budget.Workers == 0 means GOMAXPROCS.
 	Budget Budget
 	// ExploreResets enables node-reset fault transitions.
@@ -81,11 +86,8 @@ type Config struct {
 	// at the same BFS level. The claimed-state set, the violations and
 	// the distinct local-state set are identical to the unreduced search;
 	// only redundant handler executions are skipped. Applies to the
-	// breadth-first strategies (Exhaustive, Consequence).
+	// breadth-first modes (Exhaustive, Consequence).
 	Reduce bool
-	// Reducer overrides the independence oracle consulted when Reduce is
-	// on (nil = DeliveryIndependence).
-	Reducer Reducer
 	// RecordLocalStates asks the breadth-first engine to return the
 	// sorted set of distinct node-local state hashes it claimed
 	// (Result.LocalStates); differential oracles compare the sets.
@@ -113,23 +115,12 @@ func (c *Config) defaults() {
 	if c.Walks == 0 {
 		c.Walks = 200
 	}
-	if c.Reducer == nil {
-		c.Reducer = DeliveryIndependence
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
 	if c.Budget.Workers <= 0 {
 		c.Budget.Workers = runtime.GOMAXPROCS(0)
 	}
-}
-
-// strategy resolves the configured exploration algorithm.
-func (c *Config) strategy() Strategy {
-	if c.Strategy != nil {
-		return c.Strategy
-	}
-	return StrategyFor(c.Mode)
 }
 
 // Violation is a predicted inconsistency: the properties violated and the
@@ -332,7 +323,13 @@ func (s *Search) ApplyEvent(g *GState, ev sm.Event) *GState {
 // state is not mutated.
 func (s *Search) Run(start *GState) *Result {
 	s.dummyRedirects.Store(0)
-	res := s.cfg.strategy().Explore(s, start, s.cfg.Budget.Workers)
+	var res *Result
+	switch s.cfg.Mode {
+	case Exhaustive, Consequence:
+		res = newEngine(s, s.cfg.Budget.Workers, s.cfg.Mode == Consequence).run(start)
+	default:
+		res = s.randomWalks(start, s.cfg.Budget.Workers)
+	}
 	res.DummyRedirects = int(s.dummyRedirects.Load())
 	res.Workers = s.cfg.Budget.Workers
 	return res

@@ -10,10 +10,9 @@ import (
 // state fingerprint and drive the engine's expansion hot path from outside
 // the package. The engine's own frontier stays level-synchronized and
 // in-process; a sharded search owns a HashRange of the fingerprint space,
-// expands its owned states through an Expander, and hands successors that
-// hash outside the range to their owner shard. PR 6's deque.go called the
-// per-worker deques "the first step toward a sharded" search — this is the
-// second.
+// schedules its owned states with the engine's Pool under a Meter, expands
+// them through an Expander, and hands successors that hash outside the
+// range to their owner shard.
 
 // HashRange is a half-open range [Lo, Hi) of 64-bit state fingerprints: the
 // unit of visited-set ownership in a sharded search. Hi == 0 means "top of
@@ -29,9 +28,6 @@ type HashRange struct {
 func (r HashRange) Contains(h uint64) bool {
 	return h >= r.Lo && (r.Hi == 0 || h < r.Hi)
 }
-
-// All reports whether the range covers the whole fingerprint space.
-func (r HashRange) All() bool { return r.Lo == 0 && r.Hi == 0 }
 
 // shardStep returns the width of each of n equal hash ranges. The value
 // wraps to 0 at n == 1 (the full space), which Contains and ShardOwner
@@ -122,25 +118,9 @@ func (x *Expander) Events(g *GState, emit func(sm.Event)) {
 	}
 }
 
-// EventLocalHash returns the local-state fingerprint of the node whose
-// handler ev executes at, after ev's execution produced g — the hash the
-// engine feeds its distinct-local-state coverage metric per claimed state.
-// ok is false for events that touch no node-local state (RST drops).
-func (g *GState) EventLocalHash(ev sm.Event) (uint64, bool) {
-	id, ok := eventNode(ev)
-	if !ok {
-		return 0, false
-	}
-	ns := g.nodes[id]
-	if ns == nil {
-		return 0, false
-	}
-	return ns.localHash(), true
-}
-
 // LocalHashes appends every node's local-state fingerprint to dst and
-// returns it — the root-state seeding of the distinct-local-state set
-// (claims thereafter record only the event's node, see EventLocalHash).
+// returns it — what a shard folds into its distinct-local-state set per
+// claimed state.
 func (g *GState) LocalHashes(dst []uint64) []uint64 {
 	for _, id := range g.ids {
 		dst = append(dst, g.nodes[id].localHash())

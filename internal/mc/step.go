@@ -380,9 +380,8 @@ func (s *Search) enabledInto(g *GState, buf *eventBuf) (network []sm.Event, ids 
 
 // EnabledEvents enumerates the transitions available from g, split into
 // message-handler events and internal-action events per node. It is the
-// allocating convenience form of enabledInto for tests, tools and custom
-// strategies; the returned containers are freshly allocated and owned by
-// the caller.
+// allocating convenience form of enabledInto for tests and tools; the
+// returned containers are freshly allocated and owned by the caller.
 func (s *Search) EnabledEvents(g *GState) (network []sm.Event, internal map[sm.NodeID][]sm.Event) {
 	var buf eventBuf
 	net, ids, internalBuf := s.enabledInto(g, &buf)

@@ -7,26 +7,24 @@ import (
 
 // counters is the engine's shared telemetry block: exact atomic tallies of
 // work done (transitions executed), work avoided (consequence local prunes,
-// sleep-set hits) and work moved (deque steals and failed steal attempts).
-// Transitions, prunes and depth are deterministic functions of the search
-// configuration; steals and steal failures are scheduling telemetry and are
-// excluded from the determinism contracts.
+// sleep-set hits) and the frontier's footprint. Every field is a
+// deterministic function of the search configuration; deque steal traffic
+// is scheduling telemetry and lives on the Pool.
 type counters struct {
 	transitions   atomic.Int64
 	localPrunes   atomic.Int64
 	sleepHits     atomic.Int64
-	steals        atomic.Int64
-	stealFails    atomic.Int64
 	maxDepth      atomic.Int64
 	frontierBytes atomic.Int64
 	peakBytes     atomic.Int64
 }
 
-// budget is the shared, atomically-updated accounting for one search run.
-// Every worker consults it before admitting a state; the counters are exact
-// (a rejected admission is rolled back), so bounded runs never overshoot
-// regardless of worker count.
-type budget struct {
+// Meter is the shared, atomically-updated budget accounting for one search
+// run — the engine's, the random walk's, and each distributed shard's per
+// round. Every worker consults it before admitting a state; the counters
+// are exact (a rejected admission is rolled back), so bounded runs never
+// overshoot regardless of worker count.
+type Meter struct {
 	lim         Budget
 	now         func() time.Time // injected clock (Config.Now)
 	began       time.Time
@@ -36,74 +34,78 @@ type budget struct {
 	halted      atomic.Bool
 }
 
-// newBudget starts the accounting clock by reading now once; the same
-// injected clock serves the Wall deadline checks and Result.Elapsed, so a
-// fake clock exercises wall-budget expiry deterministically.
-func newBudget(lim Budget, now func() time.Time) *budget {
+// NewMeter starts the accounting clock by reading now once (nil =
+// time.Now); the same injected clock serves the Wall deadline checks and
+// Result.Elapsed, so a fake clock exercises wall-budget expiry
+// deterministically.
+func NewMeter(lim Budget, now func() time.Time) *Meter {
 	if now == nil {
 		now = time.Now
 	}
-	b := &budget{lim: lim, now: now, began: now()}
+	m := &Meter{lim: lim, now: now, began: now()}
 	if lim.Wall > 0 {
-		b.deadline = b.began.Add(lim.Wall)
+		m.deadline = m.began.Add(lim.Wall)
 	}
-	return b
+	return m
 }
 
 // elapsed reports the wall time consumed so far, per the injected clock.
-func (b *budget) elapsed() time.Duration { return b.now().Sub(b.began) }
+func (m *Meter) elapsed() time.Duration { return m.now().Sub(m.began) }
 
-// admitState atomically claims one unit of the state budget; it returns
+// AdmitState atomically claims one unit of the state budget; it returns
 // false when the budget (states or wall clock) is exhausted.
-func (b *budget) admitState() bool {
-	if b.halted.Load() {
+func (m *Meter) AdmitState() bool {
+	if m.halted.Load() {
 		return false
 	}
-	if !b.deadline.IsZero() && b.now().After(b.deadline) {
-		b.halted.Store(true)
+	if !m.deadline.IsZero() && m.now().After(m.deadline) {
+		m.halted.Store(true)
 		return false
 	}
-	if n := b.states.Add(1); b.lim.States > 0 && n > int64(b.lim.States) {
-		b.states.Add(-1)
-		b.halted.Store(true)
+	if n := m.states.Add(1); m.lim.States > 0 && n > int64(m.lim.States) {
+		m.states.Add(-1)
+		m.halted.Store(true)
 		return false
 	}
 	return true
 }
 
-// admitTransition atomically claims one unit of the transition budget; it
+// AdmitTransition atomically claims one unit of the transition budget; it
 // returns false when the Transitions bound is exhausted (after rolling the
-// claim back, so the count is exact). Serial runs stop at a deterministic
-// transition prefix; with several workers which expansions land inside the
-// budget varies with scheduling, like every non-depth cutoff.
-func (b *budget) admitTransition() bool {
-	if b.lim.Transitions <= 0 {
-		return !b.halted.Load()
+// claim back, so the count is exact) or the meter has halted. Only a
+// Transitions bound is counted: without one, callers that report
+// transitions tally their own successful applications. Serial runs stop at
+// a deterministic transition prefix; with several workers which
+// expansions land inside the budget varies with scheduling, like every
+// non-depth cutoff.
+func (m *Meter) AdmitTransition() bool {
+	if m.lim.Transitions <= 0 {
+		return !m.halted.Load()
 	}
-	if b.halted.Load() {
+	if m.halted.Load() {
 		return false
 	}
-	if n := b.transitions.Add(1); n > int64(b.lim.Transitions) {
-		b.transitions.Add(-1)
-		b.halted.Store(true)
+	if n := m.transitions.Add(1); n > int64(m.lim.Transitions) {
+		m.transitions.Add(-1)
+		m.halted.Store(true)
 		return false
 	}
 	return true
 }
 
-// refundTransition returns one admitted unit (the event turned out to be
+// RefundTransition returns one admitted unit (the event turned out to be
 // inapplicable — no handler ran).
-func (b *budget) refundTransition() {
-	if b.lim.Transitions > 0 {
-		b.transitions.Add(-1)
+func (m *Meter) RefundTransition() {
+	if m.lim.Transitions > 0 {
+		m.transitions.Add(-1)
 	}
 }
 
-// halt marks the budget exhausted (e.g. the violation quota filled).
-func (b *budget) halt() { b.halted.Store(true) }
+// Halt marks the budget exhausted (e.g. the violation quota filled).
+func (m *Meter) Halt() { m.halted.Store(true) }
 
-// exhausted reports whether some bound tripped.
-func (b *budget) exhausted() bool { return b.halted.Load() }
+// Exhausted reports whether some bound tripped.
+func (m *Meter) Exhausted() bool { return m.halted.Load() }
 
-// statesAdmitted returns the number of states admitted so far.
-func (b *budget) statesAdmitted() int { return int(b.states.Load()) }
+// States returns the number of states admitted so far.
+func (m *Meter) States() int { return int(m.states.Load()) }

@@ -23,20 +23,20 @@ func (f *fakeClock) Now() time.Time {
 // divided by the clock step, with no real sleeping involved.
 func TestBudgetWallExpiryFakeClock(t *testing.T) {
 	fc := &fakeClock{step: time.Millisecond}
-	b := newBudget(Budget{Wall: 10 * time.Millisecond}, fc.Now)
+	b := NewMeter(Budget{Wall: 10 * time.Millisecond}, fc.Now)
 	admitted := 0
-	for b.admitState() {
+	for b.AdmitState() {
 		admitted++
 		if admitted > 1000 {
 			t.Fatal("wall deadline never tripped under the fake clock")
 		}
 	}
-	// newBudget reads the clock once (t=1ms, deadline 11ms); admission k
+	// NewMeter reads the clock once (t=1ms, deadline 11ms); admission k
 	// reads t=(1+k)ms and fails first at t=12ms, so exactly 10 admissions.
 	if admitted != 10 {
 		t.Fatalf("admitted %d states before wall expiry, want 10", admitted)
 	}
-	if !b.exhausted() {
+	if !b.Exhausted() {
 		t.Fatal("budget not marked exhausted after wall expiry")
 	}
 	if got := b.elapsed(); got <= 10*time.Millisecond {

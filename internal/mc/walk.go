@@ -9,72 +9,13 @@ import (
 	"crystalball/internal/sm"
 )
 
-// Strategy is a pluggable exploration algorithm. The built-in strategies —
-// ExhaustiveStrategy (paper Figure 5), ConsequenceStrategy (Figure 8) and
-// RandomWalkStrategy (the MaceMC comparison baseline) — all run on the
-// shared worker-pool engine; custom strategies can be injected through
-// Config.Strategy and drive exploration with Search.EnabledEvents and
-// Search.ApplyEvent.
-type Strategy interface {
-	// Name identifies the strategy in logs and results.
-	Name() string
-	// Explore runs the algorithm from start on behalf of s, using up to
-	// workers goroutines, and returns the assembled result. It must not
-	// mutate start.
-	Explore(s *Search, start *GState, workers int) *Result
-}
-
-// StrategyFor maps a legacy Mode to its Strategy implementation.
-func StrategyFor(m Mode) Strategy {
-	switch m {
-	case Exhaustive:
-		return ExhaustiveStrategy
-	case Consequence:
-		return ConsequenceStrategy
-	default:
-		return RandomWalkStrategy
-	}
-}
-
-// Built-in strategies.
-var (
-	// ExhaustiveStrategy is the standard breadth-first search of paper
-	// Figure 5 (the MaceMC baseline).
-	ExhaustiveStrategy Strategy = bfsStrategy{name: "exhaustive"}
-	// ConsequenceStrategy is the consequence-prediction algorithm of
-	// paper Figure 8: breadth-first, but internal actions of a (node,
-	// local state) pair are explored at most once across the search.
-	ConsequenceStrategy Strategy = bfsStrategy{name: "consequence", prune: true}
-	// RandomWalkStrategy repeatedly walks random enabled transitions to a
-	// depth bound (MaceMC's random-walk mode, used in the paper's section
-	// 5.3 comparison).
-	RandomWalkStrategy Strategy = walkStrategy{}
-)
-
-// bfsStrategy implements Exhaustive and Consequence on the worker-pool
-// breadth-first engine; the only difference between the two is the
-// (node, local state) dedup rule guarding internal actions.
-type bfsStrategy struct {
-	name  string
-	prune bool
-}
-
-func (b bfsStrategy) Name() string { return b.name }
-
-func (b bfsStrategy) Explore(s *Search, start *GState, workers int) *Result {
-	return newEngine(s, workers, b.prune).run(start)
-}
-
-// walkStrategy distributes cfg.Walks random walks across the worker pool.
-// Each walk derives its random stream from (Seed, walk index), not from the
-// worker that happens to run it, so the same walks are explored at any
-// worker count.
-type walkStrategy struct{}
-
-func (walkStrategy) Name() string { return "random-walk" }
-
-func (walkStrategy) Explore(s *Search, start *GState, workers int) *Result {
-	bdg := newBudget(s.cfg.Budget, s.cfg.Now)
+// randomWalks runs RandomWalk mode (MaceMC's random-walk baseline, used in
+// the paper's section 5.3 comparison): cfg.Walks random walks spread across
+// the worker pool. Each walk derives its random stream from (Seed, walk
+// index), not from the worker that happens to run it, so the same walks are
+// explored at any worker count.
+func (s *Search) randomWalks(start *GState, workers int) *Result {
+	meter := NewMeter(s.cfg.Budget, s.cfg.Now)
 	coll := newCollector(s.cfg.Budget.Violations)
 	// firstReport dedups reports by (violating state, signature): the same
 	// state reached by different walks can carry different onsets and
@@ -105,10 +46,10 @@ func (walkStrategy) Explore(s *Search, start *GState, workers int) *Result {
 			res := &workerRes{view: props.NewView()}
 			for {
 				walk := int(nextWalk.Add(1)) - 1
-				if walk >= s.cfg.Walks || bdg.exhausted() {
+				if walk >= s.cfg.Walks || meter.Exhausted() {
 					return
 				}
-				runWalk(s, start, walk, bdg, coll, firstReport, &transitions, &maxDepth, res)
+				runWalk(s, start, walk, meter, coll, firstReport, &transitions, &maxDepth, res)
 			}
 		}()
 	}
@@ -116,16 +57,16 @@ func (walkStrategy) Explore(s *Search, start *GState, workers int) *Result {
 
 	return &Result{
 		Violations:      coll.violations(),
-		StatesExplored:  bdg.statesAdmitted(),
+		StatesExplored:  meter.States(),
 		Transitions:     int(transitions.Load()),
 		MaxDepthReached: int(maxDepth.Load()),
-		Elapsed:         bdg.elapsed(),
+		Elapsed:         meter.elapsed(),
 	}
 }
 
 // runWalk performs one random walk of up to cfg.WalkDepth steps, using
 // res's reusable view and enumeration buffers.
-func runWalk(s *Search, start *GState, walk int, bdg *budget, coll *collector,
+func runWalk(s *Search, start *GState, walk int, meter *Meter, coll *collector,
 	firstReport func(uint64) bool, transitions, maxDepth *atomic.Int64, res *workerRes) {
 	// A fixed odd multiplier spreads walk indices across seed space
 	// (splitmix64's golden-ratio increment).
@@ -133,7 +74,7 @@ func runWalk(s *Search, start *GState, walk int, bdg *budget, coll *collector,
 	node := &searchNode{state: start}
 	walkViolated := make(map[string]bool)
 	for depth := 0; depth < s.cfg.WalkDepth; depth++ {
-		if !bdg.admitState() {
+		if !meter.AdmitState() {
 			return
 		}
 		atomicMax(maxDepth, int64(depth))
@@ -156,7 +97,7 @@ func runWalk(s *Search, start *GState, walk int, bdg *budget, coll *collector,
 				sigHash := fnv.New64a()
 				sigHash.Write([]byte(v.Signature()))
 				if firstReport(v.StateHash^sigHash.Sum64()) && coll.record(v) {
-					bdg.halt()
+					meter.Halt()
 					return
 				}
 			}

@@ -101,10 +101,6 @@ type DeployOptions struct {
 	PerStateCost time.Duration
 	// ISC toggles the immediate safety check (Auto = on iff steering).
 	ISC Toggle
-	// Reduce toggles sleep-set partial-order reduction in the
-	// controllers' consequence-prediction rounds (Auto = the scenario's
-	// Reduction default).
-	Reduce Toggle
 	// Faults overrides the scenario's checker fault model.
 	Faults *Faults
 	// Checkpoints attaches standalone snapshot managers to Bare

@@ -129,17 +129,6 @@ type Scenario struct {
 	// Faults is the default fault model for the checker.
 	Faults Faults
 
-	// Reduction enables sleep-set partial-order reduction
-	// (mc.Config.Reduce) for this scenario's searches — offline checking
-	// and live consequence-prediction rounds alike. Sound whenever the
-	// scenario's properties are over states, not event orderings: the
-	// reduced search claims the identical state set, local-state set and
-	// violation set, just through fewer handler executions (the
-	// differential oracle in reduction_oracle_test.go pins this). Leave
-	// it off for scenarios whose checkers instrument message-arrival
-	// order itself.
-	Reduction bool
-
 	// CheckerPolicy declares the per-round exploration budget policy for
 	// live controllers: the kind ("fixed", "scaled", "adaptive") plus
 	// the base budget and tuning. The zero value means a FixedPolicy
@@ -190,7 +179,12 @@ func (sc *Scenario) Factory(o Options) (sm.Factory, error) {
 }
 
 // SearchConfig returns the scenario's checker defaults — properties,
-// factory and fault model — with o resolved against the Check tuning.
+// factory and fault model, with sleep-set partial-order reduction on —
+// with o resolved against the Check tuning. Reduction is sound for every
+// registered scenario because their properties are over states, not event
+// orderings: the reduced search claims the identical state set,
+// local-state set and violation set through fewer handler executions (the
+// differential oracle in reduction_oracle_test.go pins this).
 // Callers set the search mode and budgets on the result; examples that
 // stage hand-built start states use this to stay on scenario defaults.
 func (sc *Scenario) SearchConfig(o Options) (mc.Config, error) {
@@ -206,7 +200,7 @@ func (sc *Scenario) SearchConfig(o Options) (mc.Config, error) {
 		ExploreResets:     sc.Faults.ExploreResets,
 		ExploreConnBreaks: sc.Faults.ExploreConnBreaks,
 		MaxResetsPerPath:  sc.Faults.MaxResetsPerPath,
-		Reduce:            sc.Reduction,
+		Reduce:            true,
 	}, nil
 }
 
@@ -276,13 +270,7 @@ func (sc *Scenario) ControllerConfig(o DeployOptions) (controller.Config, error)
 	cfg.ExploreResets = faults.ExploreResets
 	cfg.ExploreConnBreaks = faults.ExploreConnBreaks
 	cfg.MaxResetsPerPath = faults.MaxResetsPerPath
-	cfg.Reduce = sc.Reduction
-	switch o.Reduce {
-	case On:
-		cfg.Reduce = true
-	case Off:
-		cfg.Reduce = false
-	}
+	cfg.Reduce = true
 	spec, err := sc.resolvePolicySpec(o)
 	if err != nil {
 		return controller.Config{}, fmt.Errorf("scenario %s: %w", sc.Name, err)

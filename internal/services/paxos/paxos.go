@@ -376,6 +376,7 @@ func (p *Paxos) RestoreStable(data []byte) {
 // Clone implements sm.Service.
 func (p *Paxos) Clone() sm.Service {
 	learns := make(map[uint64]map[sm.NodeID]int64, len(p.Learns))
+	//crystal:allow(maporder) deep-copies into maps keyed by the iterated elements; the copy is identical whatever the order
 	for r, senders := range p.Learns {
 		cp := make(map[sm.NodeID]int64, len(senders))
 		for n, v := range senders {

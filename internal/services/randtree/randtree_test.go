@@ -2,12 +2,14 @@ package randtree
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"crystalball/internal/mc"
 	"crystalball/internal/props"
 	"crystalball/internal/runtime"
+	"crystalball/internal/scenario"
 	"crystalball/internal/sim"
 	"crystalball/internal/simnet"
 	"crystalball/internal/sm"
@@ -344,6 +346,38 @@ func figure2Start(fixes Fix) (*mc.GState, sm.Factory) {
 	g.AddNode(9, n9, map[sm.TimerID]bool{TimerRecovery: true})
 	g.AddNode(13, n13, map[sm.TimerID]bool{TimerRecovery: true})
 	return g, factory
+}
+
+// TestReducedSerialSearchReproducible runs the state-bounded reduced
+// exhaustive search of `mcheck -service randtree -nodes 5 -mode exhaustive
+// -states 20000 -violations 0 -workers 1` several times in one process and
+// requires identical results. The cutoff lands inside BFS level 9, so any
+// handler that sends while ranging over a map reorders the in-flight
+// messages, and with them the level's sleep sets, transition count and
+// sleep hits, from run to run.
+func TestReducedSerialSearchReproducible(t *testing.T) {
+	g, cfg, err := scenario.InitialState("randtree", scenario.Options{Nodes: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Mode = mc.Exhaustive
+	cfg.Budget = mc.Budget{States: 20000, Workers: 1}
+	cfg.ExploreResets = true
+	cfg.Reduce = true
+	cfg.Seed = 1
+	var first *mc.Result
+	for run := 0; run < 4; run++ {
+		res := mc.NewSearch(cfg).Run(g)
+		res.Elapsed = 0
+		if first == nil {
+			first = res
+			continue
+		}
+		if !reflect.DeepEqual(res, first) {
+			t.Fatalf("run %d differs from run 0: transitions %d/%d sleep-hits %d/%d",
+				run, res.Transitions, first.Transitions, res.SleepHits, first.SleepHits)
+		}
+	}
 }
 
 func TestConsequencePredictionFindsFigure2(t *testing.T) {

@@ -177,12 +177,6 @@ func (n *Network) state(id sm.NodeID) *nodeState {
 	return st
 }
 
-// Alive reports whether the node is up.
-func (n *Network) Alive(id sm.NodeID) bool {
-	st, ok := n.nodes[id]
-	return ok && st.alive
-}
-
 // Incarnation reports the node's current incarnation number (bumped on
 // every reset/restart); exported for tests.
 func (n *Network) Incarnation(id sm.NodeID) uint64 { return n.state(id).incarnation }
@@ -224,9 +218,6 @@ func (n *Network) nodeIDs() []sm.NodeID {
 	slices.Sort(ids)
 	return ids
 }
-
-// Partitioned reports whether the pair is currently severed.
-func (n *Network) Partitioned(a, b sm.NodeID) bool { return n.parts[keyFor(a, b)] }
 
 // Reset simulates a node crash+restart: its incarnation bumps (so all of its
 // connections become stale) and, unless silent, an RST notification is sent

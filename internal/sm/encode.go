@@ -308,15 +308,6 @@ func (d *Decoder) NodeSlice() []NodeID {
 	return ids
 }
 
-// EncodeService returns the stable encoding of a service's state.
-func EncodeService(s Service) []byte {
-	e := NewEncoder()
-	s.EncodeState(e)
-	out := make([]byte, len(e.buf))
-	copy(out, e.buf)
-	return out
-}
-
 // HashService returns the FNV-64a hash of a service's encoded state.
 func HashService(s Service) uint64 {
 	e := NewEncoder()

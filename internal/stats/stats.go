@@ -1,5 +1,5 @@
 // Package stats provides the small statistics and formatting helpers
-// shared by the experiment harnesses: counters, duration samples, CDFs and
+// shared by the experiment harnesses: duration samples, CDFs and
 // plain-text tables matching the rows/series the paper reports.
 package stats
 
@@ -168,13 +168,6 @@ func (t *Table) String() string {
 		line(row)
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Rate renders a count as bits/second over a window.

@@ -142,9 +142,6 @@ func (t *Topology) AttachClients(n int, rng *rand.Rand) {
 	}
 }
 
-// Clients reports the number of attached participants.
-func (t *Topology) Clients() int { return len(t.clients) }
-
 // Routers reports the number of router nodes.
 func (t *Topology) Routers() int { return len(t.adj) }
 
