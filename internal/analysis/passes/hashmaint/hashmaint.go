@@ -173,15 +173,27 @@ func collect(pass *analysis.Pass, gstate *types.Named, fd *ast.FuncDecl) *funcFa
 		return sel.Sel.Name, true
 	}
 
-	// recordTarget classifies one written lvalue.
+	// recordTarget classifies one written lvalue, or the destination of a
+	// builtin that writes through its argument (copy, clear, delete).
 	recordTarget := func(lhs ast.Expr, at ast.Node) {
-		// Unwrap element writes: g.nodes[id] = ..., g.stale[p] = ...
-		if ix, ok := lhs.(*ast.IndexExpr); ok {
-			lhs = ix.X
-		}
-		field, ok := onGState(lhs)
-		if !ok {
-			return
+		// Unwrap down to the GState field the write lands in: element
+		// writes (g.nodes[i] = ..., g.stale[p] = ...), slice-expression
+		// destinations (copy(g.msgs[i:], ...)) and writes to a field of an
+		// element (g.msgs[j].pos = ...) all change the component.
+		field, ok := "", false
+		for !ok {
+			switch e := ast.Unparen(lhs).(type) {
+			case *ast.IndexExpr:
+				lhs = e.X
+			case *ast.SliceExpr:
+				lhs = e.X
+			case *ast.SelectorExpr:
+				if field, ok = onGState(e); !ok {
+					lhs = e.X
+				}
+			default:
+				return
+			}
 		}
 		if field == guardField || field == "encSize" {
 			ff.writesGuard = true
@@ -201,7 +213,8 @@ func collect(pass *analysis.Pass, gstate *types.Named, fd *ast.FuncDecl) *funcFa
 		case *ast.IncDecStmt:
 			recordTarget(s.X, s)
 		case *ast.CallExpr:
-			if analysis.IsBuiltinCall(info, s, "delete") && len(s.Args) == 2 {
+			if (analysis.IsBuiltinCall(info, s, "delete") || analysis.IsBuiltinCall(info, s, "copy") ||
+				analysis.IsBuiltinCall(info, s, "clear")) && len(s.Args) > 0 {
 				recordTarget(s.Args[0], s)
 				break
 			}

@@ -251,6 +251,27 @@ type shard struct {
 	bucket   []*node
 	outs     [][]*node
 	expandAt func(i, w int)
+	// replayed is the receiver-side replay cache: see replay.
+	replayed replayCache
+}
+
+// replayCache holds the last descriptor path a shard replayed and the
+// state after each of its steps (states[i] is the state path[:i+1] leads
+// to). Batches list a sender's successors in expansion order, so
+// consecutive forwarded paths are mostly siblings or cousins, and a replay
+// that resumes from the cached state at the end of the longest common
+// prefix re-executes only the steps that differ. Replay is a pure function
+// of (state, descriptor), so the resumed state is the state a from-root
+// replay builds.
+type replayCache struct {
+	path   []EventDesc
+	states []*mc.GState
+}
+
+// drop empties the cache, keeping its buffers but no states.
+func (c *replayCache) drop() {
+	clear(c.states)
+	c.path, c.states = c.path[:0], c.states[:0]
 }
 
 func newShard(conn Conn, cfg ShardConfig) (*shard, error) {
@@ -397,6 +418,7 @@ func (sh *shard) startRound(rs RoundStart) error {
 // rounds.
 func (sh *shard) endRound() {
 	sh.visited, sh.fwd, sh.locals = nil, nil, nil
+	sh.replayed.drop()
 	sh.fr = frontier{}
 	sh.out = nil
 	sh.vio = nil
@@ -613,20 +635,43 @@ func (sh *shard) ingest(b Batch) error {
 	return nil
 }
 
-// replay reconstructs a state from its descriptor path.
+// replay reconstructs a state from its descriptor path, resuming from the
+// replay cache's state at the end of the longest prefix the path shares
+// with the previously replayed one. The caller still checks the result's
+// fingerprint against the sender's. A failed step drops the cache, so a
+// bad descriptor cannot poison the next replay.
 func (sh *shard) replay(path []EventDesc) (*mc.GState, error) {
-	_, g, err := replayDescs(sh.search, sh.res[0], sh.scratch, sh.cfg.Root, path, false)
-	if err != nil {
-		return nil, errorf("shard %d: %w", sh.cfg.Index, err)
+	c := &sh.replayed
+	k := 0
+	for k < len(path) && k < len(c.path) && path[k] == c.path[k] {
+		k++
+	}
+	if k == len(path) && k > 0 {
+		// Identical to, or a prefix of, the cached path: keep the longer
+		// path cached for the siblings still to come.
+		return c.states[k-1], nil
+	}
+	g := sh.cfg.Root
+	if k > 0 {
+		g = c.states[k-1]
+	}
+	clear(c.states[k:])
+	c.path, c.states = c.path[:k], c.states[:k]
+	for i := k; i < len(path); i++ {
+		_, next, err := replayStep(sh.search, sh.res[0], sh.scratch, g, path, i)
+		if err != nil {
+			c.drop()
+			return nil, errorf("shard %d: %w", sh.cfg.Index, err)
+		}
+		c.path, c.states = append(c.path, path[i]), append(c.states, next)
+		g = next
 	}
 	return g, nil
 }
 
-// replayDescs re-executes a descriptor path from root, resolving each
-// descriptor against the enabled events of the state it executed in — the
-// engine's enumeration makes the match unique — and applying it. With
-// wantEvents it also returns the resolved real events (violation-path
-// materialization at the coordinator).
+// replayDescs re-executes a descriptor path from root. With wantEvents it
+// also returns the resolved real events (violation-path materialization at
+// the coordinator).
 func replayDescs(s *mc.Search, x *mc.Expander, scratch *sm.Encoder, root *mc.GState, path []EventDesc, wantEvents bool) ([]sm.Event, *mc.GState, error) {
 	g := root
 	var events []sm.Event
@@ -634,13 +679,9 @@ func replayDescs(s *mc.Search, x *mc.Expander, scratch *sm.Encoder, root *mc.GSt
 		events = make([]sm.Event, 0, len(path))
 	}
 	for i := range path {
-		ev, err := resolveDesc(x, scratch, g, &path[i])
+		ev, next, err := replayStep(s, x, scratch, g, path, i)
 		if err != nil {
-			return nil, nil, errorf("replay step %d: %w", i, err)
-		}
-		next := s.ApplyEvent(g, ev)
-		if next == nil {
-			return nil, nil, errorf("replay step %d: event %s not applicable", i, ev.Describe())
+			return nil, nil, err
 		}
 		if wantEvents {
 			events = append(events, ev)
@@ -648,6 +689,22 @@ func replayDescs(s *mc.Search, x *mc.Expander, scratch *sm.Encoder, root *mc.GSt
 		g = next
 	}
 	return events, g, nil
+}
+
+// replayStep executes step i of a descriptor path on g, the state the
+// path's first i steps lead to: it resolves path[i] against g's enabled
+// events — the engine's enumeration makes the match unique — and applies
+// it. Errors name the step's absolute index in the path.
+func replayStep(s *mc.Search, x *mc.Expander, scratch *sm.Encoder, g *mc.GState, path []EventDesc, i int) (sm.Event, *mc.GState, error) {
+	ev, err := resolveDesc(x, scratch, g, &path[i])
+	if err != nil {
+		return nil, nil, errorf("replay step %d: %w", i, err)
+	}
+	next := s.ApplyEvent(g, ev)
+	if next == nil {
+		return nil, nil, errorf("replay step %d: event %s not applicable", i, ev.Describe())
+	}
+	return ev, next, nil
 }
 
 func resolveDesc(x *mc.Expander, scratch *sm.Encoder, g *mc.GState, desc *EventDesc) (sm.Event, error) {

@@ -198,7 +198,7 @@ func (e *engine) run(start *GState) *Result {
 	// / ApplyEvent), so every cross-goroutine read of shared states is a
 	// pure read and Hash is an O(1) lookup of the incremental fingerprint.
 	e.visited[start.Hash()] = struct{}{}
-	e.recordLocals(start.nodes, start.ids, nil)
+	e.recordLocals(start, nil)
 	e.growFrontier(int64(start.EncodedSize()))
 	level := []*searchNode{{state: start}}
 	for len(level) > 0 && !e.meter.Exhausted() {
@@ -237,15 +237,15 @@ func (e *engine) run(start *GState) *Result {
 // local-state set — the ROADMAP's coverage metric. A successor differs from
 // its parent in at most the node the claiming event executed at, so claims
 // record one hash; the root records every node.
-func (e *engine) recordLocals(nodes map[sm.NodeID]*NodeState, ids []sm.NodeID, ev sm.Event) {
+func (e *engine) recordLocals(g *GState, ev sm.Event) {
 	if ev == nil {
-		for _, id := range ids {
-			e.locals[nodes[id].localHash()] = struct{}{}
+		for _, ns := range g.nodes {
+			e.locals[ns.localHash()] = struct{}{}
 		}
 		return
 	}
 	if id, ok := eventNode(ev); ok {
-		if ns := nodes[id]; ns != nil {
+		if ns := g.Node(id); ns != nil {
 			e.locals[ns.localHash()] = struct{}{}
 		}
 	}
@@ -320,7 +320,7 @@ func (e *engine) claimChildren(outs [][]*searchNode) []*searchNode {
 				e.arrivals[h] = child
 			}
 			e.growFrontier(int64(child.state.EncodedSize()))
-			e.recordLocals(child.state.nodes, child.state.ids, child.event)
+			e.recordLocals(child.state, child.event)
 			next = append(next, child)
 		}
 	}
@@ -449,13 +449,13 @@ func (e *engine) expandNode(node *searchNode, res *workerRes) []*searchNode {
 	// sleep sets and H_A expansions never promise; H_A transitions may
 	// still BE slept (their closure replays only the H_M edges the entry
 	// survived). The differential oracle pins set-equality for both modes.
-	for i, id := range ids {
+	for i := range ids {
 		evs := internal[i]
 		if len(evs) == 0 {
 			continue
 		}
 		if e.prune {
-			lh := node.state.nodes[id].localHash()
+			lh := node.state.nodes[i].localHash()
 			if _, seen := e.local[lh]; seen {
 				e.ctr.localPrunes.Add(int64(len(evs)))
 				continue

@@ -290,7 +290,7 @@ func (s *Search) applyFiltered(g *GState, ev sm.Event, f sm.Filter, sc *scratch)
 	next := g.shallowClone()
 	next.removeMsgAt(i, sc)
 	if f.BreakConn {
-		if _, known := next.nodes[me.From]; known {
+		if next.slot(me.From) >= 0 {
 			next.addMsg(InFlight{From: me.To, To: me.From, Msg: nil}, sc)
 		}
 	}

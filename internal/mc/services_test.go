@@ -274,11 +274,16 @@ func TestConsequenceRoundAllocBound(t *testing.T) {
 		ExploreResets: true,
 	}
 	var res *mc.Result
-	const maxAllocs = 823
+	// The slice-backed node table measures 642 (705 under -race); the
+	// map-backed table it replaced measured 673 (729).
+	maxAllocs := 660.0
+	if mc.RaceEnabled {
+		maxAllocs = 720
+	}
 	if avg := testing.AllocsPerRun(20, func() {
 		res = mc.NewSearch(cfg).Run(g)
 	}); avg > maxAllocs {
-		t.Fatalf("consequence round allocates %.0f/op, want <= %d", avg, maxAllocs)
+		t.Fatalf("consequence round allocates %.0f/op, want <= %.0f", avg, maxAllocs)
 	}
 	if res.StatesExplored == 0 {
 		t.Fatal("no states explored")

@@ -118,12 +118,13 @@ func (x *Expander) Events(g *GState, emit func(sm.Event)) {
 	}
 }
 
-// LocalHashes appends every node's local-state fingerprint to dst and
+// LocalHashes appends every node's local-state fingerprint to dst, in
+// ascending node-id order (the node table is aligned with Nodes), and
 // returns it — what a shard folds into its distinct-local-state set per
 // claimed state.
 func (g *GState) LocalHashes(dst []uint64) []uint64 {
-	for _, id := range g.ids {
-		dst = append(dst, g.nodes[id].localHash())
+	for _, ns := range g.nodes {
+		dst = append(dst, ns.localHash())
 	}
 	return dst
 }

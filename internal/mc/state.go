@@ -210,6 +210,13 @@ var resetsComp0 = func() uint64 {
 // bookkeeping. GStates are persistent: successors share unmodified node
 // states and copy only what an event changes.
 //
+// The node table is two aligned slices: ids holds the node ids ascending
+// and nodes[i] is ids[i]'s local state. ids never changes during
+// exploration (nodes are never added or removed), so successors share it;
+// nodes is owned by exactly one state — shallowClone copies its n pointers —
+// so a successor swaps an entry in place. Lookup by id is a binary search
+// over ids; loops that already walk ids index nodes directly.
+//
 // The state fingerprint (Hash) is maintained incrementally: hsum is the
 // wrapping sum of the component hashes of every node, in-flight item and
 // stale pair plus the resets counter. Addition is commutative, so the
@@ -223,8 +230,8 @@ var resetsComp0 = func() uint64 {
 // footprint (EncodedSize) and the sorted node-id list (Nodes) are
 // maintained the same way, so neither re-walks the state per query.
 type GState struct {
-	nodes   map[sm.NodeID]*NodeState
-	ids     []sm.NodeID // sorted node ids; shared with successors (nodes are never removed)
+	ids     []sm.NodeID  // sorted node ids; shared with successors (nodes are never removed)
+	nodes   []*NodeState // nodes[i] is ids[i]'s local state; owned by this state alone
 	msgs    []InFlight
 	stale   map[pair]bool // (sender, peer): sender holds a stale socket to peer; nil until first pair
 	resets  int           // reset events taken on this path (bounds fault depth)
@@ -236,10 +243,7 @@ type GState struct {
 // The services are used as-is (not cloned); callers that keep using their
 // copies must clone first.
 func NewGState() *GState {
-	return &GState{
-		nodes: make(map[sm.NodeID]*NodeState),
-		hsum:  resetsComp0,
-	}
+	return &GState{hsum: resetsComp0}
 }
 
 // AddNode inserts a node's local state. The service's encoding and hashes
@@ -257,41 +261,61 @@ func (g *GState) AddNode(id sm.NodeID, svc sm.Service, timers map[sm.TimerID]boo
 }
 
 // setNode installs ns as id's local state, finalizing its encoding/hashes
-// and updating the fingerprint, footprint and sorted id list (removing any
+// and updating the fingerprint, footprint and node table (removing any
 // previous state's contribution).
 //
 //crystal:hotpath
 func (g *GState) setNode(id sm.NodeID, ns *NodeState, sc *scratch) {
-	old := g.nodes[id]
-	if old != nil {
+	pos, found := slices.BinarySearch(g.ids, id)
+	var old *NodeState
+	if found {
+		old = g.nodes[pos]
 		g.hsum -= old.chash // every installed node is finalized
 		g.encSize -= 4 + old.encLen()
 	}
 	ns.finalize(id, old, sc)
 	g.hsum += ns.chash
 	g.encSize += 4 + ns.encLen()
-	if old == nil {
-		// Copy-insert: the ids slice may be shared with predecessor
-		// states, so never mutate it in place. Insertion only happens at
-		// state-construction time (exploration never adds nodes).
-		pos, _ := slices.BinarySearch(g.ids, id)
-		ids := make([]sm.NodeID, 0, len(g.ids)+1)
-		ids = append(ids, g.ids[:pos]...)
-		ids = append(ids, id)
-		ids = append(ids, g.ids[pos:]...)
-		g.ids = ids
+	if found {
+		g.nodes[pos] = ns
+		return
 	}
-	g.nodes[id] = ns
+	// Copy-insert ids: the slice may be shared with predecessor states, so
+	// never mutate it in place. nodes is this state's own, so it grows in
+	// place. Insertion only happens at state-construction time (exploration
+	// never adds nodes).
+	ids := make([]sm.NodeID, 0, len(g.ids)+1)
+	ids = append(ids, g.ids[:pos]...)
+	ids = append(ids, id)
+	ids = append(ids, g.ids[pos:]...)
+	g.ids = ids
+	if g.nodes == nil {
+		// Room for a typical snapshot up front, so building a state of
+		// up to 8 nodes allocates the table once (TestAddNodeAllocBound).
+		g.nodes = make([]*NodeState, 0, 8)
+	}
+	g.nodes = slices.Insert(g.nodes, pos, ns)
 }
 
-// swapNode replaces id's already-finalized local state with the finalized
-// nw, adjusting fingerprint and footprint. The node-id list is unchanged.
+// slot returns id's index in the node table, or -1 if id is absent.
 //
 //crystal:hotpath
-func (g *GState) swapNode(id sm.NodeID, old, nw *NodeState) {
+func (g *GState) slot(id sm.NodeID) int {
+	if i, ok := slices.BinarySearch(g.ids, id); ok {
+		return i
+	}
+	return -1
+}
+
+// swapNode replaces the already-finalized local state old at table index i
+// with the finalized nw, adjusting fingerprint and footprint. The node-id
+// list is unchanged.
+//
+//crystal:hotpath
+func (g *GState) swapNode(i int, old, nw *NodeState) {
 	g.hsum += nw.chash - old.chash
 	g.encSize += nw.encLen() - old.encLen()
-	g.nodes[id] = nw
+	g.nodes[i] = nw
 }
 
 // AddMessage inserts an in-flight service message.
@@ -345,9 +369,9 @@ func msgComp(m *InFlight, sc *scratch) uint64 {
 }
 
 // removeMsgAt deletes the i-th in-flight item and updates the totals. The
-// slice is shifted in place: every caller operates on a successor whose
-// msgs slice was freshly copied by shallowClone, so no other state aliases
-// it. Later items in the removed item's queue shift one position toward
+// slice is shifted in place: like the node table, msgs belongs to one state
+// alone — every caller operates on a successor whose msgs slice was freshly
+// copied by shallowClone — so no other state aliases it. Later items in the removed item's queue shift one position toward
 // the head; their component hashes are swapped accordingly (queues longer
 // than one item are rare, so the rehash loop almost never fires).
 //
@@ -409,7 +433,12 @@ func (g *GState) bumpResets(sc *scratch) {
 func (g *GState) Nodes() []sm.NodeID { return g.ids }
 
 // Node returns the local state of id, or nil if absent from the snapshot.
-func (g *GState) Node(id sm.NodeID) *NodeState { return g.nodes[id] }
+func (g *GState) Node(id sm.NodeID) *NodeState {
+	if i := g.slot(id); i >= 0 {
+		return g.nodes[i]
+	}
+	return nil
+}
 
 // InFlightCount reports the number of in-flight items.
 func (g *GState) InFlightCount() int { return len(g.msgs) }
@@ -430,9 +459,8 @@ func (g *GState) View() *props.View {
 //crystal:hotpath
 func (g *GState) FillView(v *props.View) {
 	v.Reset()
-	for _, id := range g.ids {
-		ns := g.nodes[id]
-		v.Add(id, ns.Svc, ns.Timers)
+	for i, ns := range g.nodes {
+		v.Add(g.ids[i], ns.Svc, ns.Timers)
 	}
 }
 
@@ -471,12 +499,12 @@ func (g *GState) Hash() uint64 {
 // checker's mutators.
 func (g *GState) FullHash() uint64 {
 	var sum uint64
-	for id, ns := range g.nodes {
+	for i, ns := range g.nodes {
 		ne := sm.NewEncoder()
 		ns.Svc.EncodeState(ne)
 		encodeTimers(ne, ns.Timers)
 		e := sm.NewEncoder()
-		e.NodeID(id)
+		e.NodeID(g.ids[i])
 		e.Bytes2(ne.Bytes())
 		sum += e.DomainHash(domainNode)
 	}
@@ -553,14 +581,14 @@ func (g *GState) fullEncodedSize() int {
 // shallowClone copies the state's containers but shares all node states,
 // messages and the sorted id list; callers then replace what the event
 // changes, keeping the inherited fingerprint and footprint in sync through
-// the mutation helpers.
+// the mutation helpers. The node table costs one copy of n pointers, index
+// for index with the shared ids, so the successor may swap an entry in
+// place without touching this state's table.
 //
 //crystal:hotpath
 func (g *GState) shallowClone() *GState {
-	nodes := make(map[sm.NodeID]*NodeState, len(g.nodes))
-	for id, ns := range g.nodes {
-		nodes[id] = ns
-	}
+	nodes := make([]*NodeState, len(g.nodes))
+	copy(nodes, g.nodes)
 	msgs := make([]InFlight, len(g.msgs))
 	copy(msgs, g.msgs)
 	var stale map[pair]bool
@@ -573,7 +601,7 @@ func (g *GState) shallowClone() *GState {
 		}
 	}
 	return &GState{
-		nodes: nodes, ids: g.ids, msgs: msgs, stale: stale,
+		ids: g.ids, nodes: nodes, msgs: msgs, stale: stale,
 		resets: g.resets, hsum: g.hsum, encSize: g.encSize,
 	}
 }
