@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint bench bench-compare bench-baseline
+.PHONY: build test race lint
 
 build:
 	$(GO) build ./...
@@ -20,17 +20,3 @@ lint:
 
 race:
 	$(GO) test -race ./internal/mc ./internal/controller ./internal/scenario/... ./internal/dist
-
-# Re-record the "after" side of the committed benchmark artifact (run on a
-# quiet machine; commits the new numbers).
-bench:
-	$(GO) run ./cmd/benchjson -label after -out BENCH_10.json
-
-# Record the "before" side (run on the base revision before a perf change).
-bench-baseline:
-	$(GO) run ./cmd/benchjson -label before -out BENCH_10.json
-
-# Warn-only comparison of the working tree against the committed "after"
-# snapshot; pass STRICT=1 to fail on regression.
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_10.json $(if $(STRICT),-strict,)

@@ -1,8 +1,9 @@
 // Package crystalball's root benchmark harness: one testing.B benchmark per
 // table and figure of the paper's evaluation (scaled down so `go test
 // -bench=.` completes in minutes; cmd/experiments regenerates the
-// full-scale tables), plus ablation benchmarks for the design choices
-// DESIGN.md section 7 calls out.
+// full-scale tables), plus ablation benchmarks for three design choices:
+// consequence local-state pruning, the filter-safety recheck and
+// checkpoint compression.
 package crystalball_test
 
 import (
@@ -155,8 +156,7 @@ func BenchmarkExhaustiveSearch(b *testing.B) {
 // BenchmarkParallelSearch compares worker-pool exploration throughput
 // across worker counts for both breadth-first strategies on the
 // work-stealing per-worker deques (scaling needs physical cores; states/sec
-// is reported so CI hardware differences are visible). The "steal" name
-// segment keeps entry names stable against the recorded BENCH_10.json.
+// is reported so CI hardware differences are visible).
 func BenchmarkParallelSearch(b *testing.B) {
 	const states = 20000
 	for _, mode := range []mc.Mode{mc.Exhaustive, mc.Consequence} {
@@ -307,8 +307,8 @@ func BenchmarkShardedSearch(b *testing.B) {
 // application call in node order, then steps rounds of delivering the first
 // enabled network event — enough join traffic that consequence prediction
 // has live protocol state to look ahead from.
-func warmPrefix(b *testing.B, s *mc.Search, g *mc.GState, steps int) *mc.GState {
-	b.Helper()
+func warmPrefix(tb testing.TB, s *mc.Search, g *mc.GState, steps int) *mc.GState {
+	tb.Helper()
 	_, internal := s.EnabledEvents(g)
 	ids := make([]int, 0, len(internal))
 	for id := range internal {
@@ -363,7 +363,7 @@ func BenchmarkSnapshotCollection(b *testing.B) {
 	}
 }
 
-// --- ablations (DESIGN.md section 7) ----------------------------------------
+// --- ablations ---------------------------------------------------------------
 
 // BenchmarkAblationLocalPruning quantifies the localExplored rule: states
 // needed to find the Figure 2-class violation from a live snapshot with
@@ -520,16 +520,8 @@ func BenchmarkAdaptiveRounds(b *testing.B) {
 //   - full-recompute: the from-scratch oracle (FullHash), which is what
 //     every successor hash used to cost before the incremental scheme.
 func BenchmarkStateHash(b *testing.B) {
-	factory, g := formedTree(9)
-	s := mc.NewSearch(mc.Config{
-		Props:   randtree.Properties,
-		Factory: factory,
-	})
-	ev := sm.TimerEvent{At: 5, Timer: randtree.TimerRecovery}
+	s, g, ev := stateHashInput(b)
 	succ := s.ApplyEvent(g, ev)
-	if succ == nil {
-		b.Fatal("timer event not applicable")
-	}
 
 	b.Run("lookup", func(b *testing.B) {
 		b.ReportAllocs()
@@ -558,6 +550,21 @@ func BenchmarkStateHash(b *testing.B) {
 	})
 }
 
+// stateHashInput is BenchmarkStateHash's input: a formed 9-node randtree
+// and the recovery-timer event whose successor the benchmark rebuilds.
+func stateHashInput(tb testing.TB) (*mc.Search, *mc.GState, sm.Event) {
+	factory, g := formedTree(9)
+	s := mc.NewSearch(mc.Config{
+		Props:   randtree.Properties,
+		Factory: factory,
+	})
+	ev := sm.TimerEvent{At: 5, Timer: randtree.TimerRecovery}
+	if s.ApplyEvent(g, ev) == nil {
+		tb.Fatal("timer event not applicable")
+	}
+	return s, g, ev
+}
+
 // BenchmarkGlobalProps measures per-state cross-node property evaluation,
 // the cost the global property engine adds to every explored state: refill
 // the engine's pooled view from the state (the freelist path — NodeViews
@@ -568,44 +575,67 @@ func BenchmarkStateHash(b *testing.B) {
 // state — the overwhelming case — costs zero allocations beyond the view
 // refill.
 func BenchmarkGlobalProps(b *testing.B) {
-	cases := []struct {
-		service string
-		nodes   int
-		warm    int
-	}{
-		{"chord", 7, 4},
-		{"gcounter", 5, 4},
-		{"orset", 5, 4},
-		{"lwwmap", 5, 4},
-	}
-	for _, tc := range cases {
-		tc := tc
+	for _, tc := range globalPropsCases {
 		b.Run(tc.service, func(b *testing.B) {
-			g, cfg, err := scenario.InitialState(tc.service, scenario.Options{Nodes: tc.nodes})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(cfg.GlobalProps) == 0 {
-				b.Fatal("scenario has no global properties")
-			}
-			g = warmPrefix(b, mc.NewSearch(cfg), g, tc.warm)
-			v := props.NewView()
+			op := globalPropsOp(b, tc.service, tc.nodes, tc.warm)
 			var violated int
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v.Reset()
-				g.FillView(v)
-				violated += len(cfg.GlobalProps.AppendViolated(nil, props.Global(v)))
+				violated += op()
 			}
 			b.ReportMetric(float64(violated)/float64(b.N), "violated/op")
 		})
 	}
 }
 
+// globalPropsCases are BenchmarkGlobalProps' scenarios: node count and
+// warm-up steps per service.
+var globalPropsCases = []struct {
+	service     string
+	nodes, warm int
+}{
+	{"chord", 7, 4},
+	{"gcounter", 5, 4},
+	{"orset", 5, 4},
+	{"lwwmap", 5, 4},
+}
+
+// globalPropsOp builds one scenario's warmed state and returns one
+// BenchmarkGlobalProps op: refill a reused view from the state, evaluate
+// the scenario's GlobalSet, and return the number of violated properties.
+func globalPropsOp(tb testing.TB, service string, nodes, warm int) func() int {
+	g, cfg, err := scenario.InitialState(service, scenario.Options{Nodes: nodes})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(cfg.GlobalProps) == 0 {
+		tb.Fatal("scenario has no global properties")
+	}
+	g = warmPrefix(tb, mc.NewSearch(cfg), g, warm)
+	v := props.NewView()
+	return func() int {
+		v.Reset()
+		g.FillView(v)
+		return len(cfg.GlobalProps.AppendViolated(nil, props.Global(v)))
+	}
+}
+
 // BenchmarkCheckpointEncode measures full-state encoding (checkpoint
 // creation).
 func BenchmarkCheckpointEncode(b *testing.B) {
+	t, timers := checkpointInput()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(sm.EncodeFullState(t, timers)) == 0 {
+			b.Fatal("empty encoding")
+		}
+	}
+}
+
+// checkpointInput is BenchmarkCheckpointEncode's input: a joined randtree
+// root with 19 children and peers, and its recovery timer.
+func checkpointInput() (*randtree.Tree, map[sm.TimerID]bool) {
 	factory := randtree.New(randtree.Config{Bootstrap: []sm.NodeID{1}})
 	t := factory(1).(*randtree.Tree)
 	t.Joined = true
@@ -615,13 +645,7 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 		t.Children[sm.NodeID(i)] = true
 		t.Peers[sm.NodeID(i)] = true
 	}
-	timers := map[sm.TimerID]bool{randtree.TimerRecovery: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if len(sm.EncodeFullState(t, timers)) == 0 {
-			b.Fatal("empty encoding")
-		}
-	}
+	return t, map[sm.TimerID]bool{randtree.TimerRecovery: true}
 }
 
 func formedTree(n int) (sm.Factory, *mc.GState) {

@@ -31,7 +31,7 @@ func sampleMsgs() []Msg {
 			Round: 3, Slot: 1, Slots: 4,
 			Budget: mc.Budget{
 				States: 1000, Depth: 12, Wall: 5 * time.Second,
-				Violations: 8, Transitions: 9000, Workers: 2,
+				Violations: 8, Workers: 2,
 			},
 			RecordStates: true,
 		},
@@ -190,4 +190,40 @@ func FuzzCodec(f *testing.F) {
 			t.Fatalf("%T: encode∘decode not idempotent", m)
 		}
 	})
+}
+
+// TestBatchCodecAllocBound gates one wire round trip of the first full
+// (DefaultBatchSize) batch recordForwards captures, as the TCP transport
+// makes it: encodeMsg into a reused encoder, materializing each state's
+// descriptor path from the sender's path tree, then decodeMsg.
+func TestBatchCodecAllocBound(t *testing.T) {
+	batches, _ := recordForwards(t)
+	var b Batch
+	for _, b = range batches {
+		if len(b.States) == DefaultBatchSize {
+			break
+		}
+	}
+	if len(b.States) != DefaultBatchSize {
+		t.Fatalf("no full batch among %d recorded", len(batches))
+	}
+	enc := sm.NewEncoder()
+	const bound = 1348.0 // the same under -race
+	avg := testing.AllocsPerRun(20, func() {
+		enc.Reset()
+		if err := encodeMsg(enc, b); err != nil {
+			t.Fatal(err)
+		}
+		m, err := decodeMsg(sm.NewDecoder(enc.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.(Batch); len(got.States) != len(b.States) {
+			t.Fatalf("decoded %d states, sent %d", len(got.States), len(b.States))
+		}
+	})
+	t.Logf("%.0f allocs per round trip (%d states)", avg, len(b.States))
+	if avg > bound {
+		t.Fatalf("batch round trip allocates %.0f/op, want <= %.0f", avg, bound)
+	}
 }

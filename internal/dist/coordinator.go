@@ -592,19 +592,18 @@ func (c *Coordinator) replayScratch() *sm.Encoder {
 	return c.enc
 }
 
-// SplitBudget divides a round's budget across n shards: States and
-// Transitions split near-evenly (low shards take the remainder); Depth and
-// Wall bound each shard identically; Workers is the per-shard worker
-// count; Violations gives every shard the full quota — the merged report
-// deduplicates, so a distributed round may record up to n× the quota
-// before all shards halt (quota rounds trade exactness for an early stop,
-// as the serial engine's do under >1 worker).
+// SplitBudget divides a round's budget across n shards: States splits
+// near-evenly (low shards take the remainder); Depth and Wall bound each
+// shard identically; Workers is the per-shard worker count; Violations
+// gives every shard the full quota — the merged report deduplicates, so a
+// distributed round may record up to n× the quota before all shards halt
+// (quota rounds trade exactness for an early stop, as the serial engine's
+// do under >1 worker).
 func SplitBudget(b mc.Budget, n int) []mc.Budget {
 	shares := make([]mc.Budget, n)
 	for i := range shares {
 		s := b
 		s.States = splitShare(b.States, i, n)
-		s.Transitions = splitShare(b.Transitions, i, n)
 		shares[i] = s
 	}
 	return shares

@@ -161,21 +161,19 @@ func (c *captureConn) Recv() (Msg, error)          { return nil, ErrClosed }
 func (c *captureConn) TryRecv() (Msg, bool, error) { return nil, false, nil }
 func (c *captureConn) Close() error                { return nil }
 
-// BenchmarkShardReplay measures the receiver's cost per forwarded state:
-// one op replays one wire-form path of a recorded batch sequence — what
-// shard 0 of a two-shard exhaustive paxos (3 nodes, depth 7) search
-// forwards to shard 1 before it hears from its peer — in order. "prefix"
-// is the shard's replay, resuming from the previous path's common prefix;
-// "from-root" re-executes every path from the root.
-func BenchmarkShardReplay(b *testing.B) {
+// recordForwards returns the batch sequence shard 0 of a two-shard
+// exhaustive paxos (3 nodes, depth 7) search forwards to shard 1 before it
+// hears from its peer, and the same states in wire form, in order.
+func recordForwards(tb testing.TB) ([]Batch, []ForwardState) {
+	tb.Helper()
 	conn := &captureConn{}
-	sender := paxosShard(b, conn, 0)
+	sender := paxosShard(tb, conn, 0)
 	if err := sender.startRound(RoundStart{Budget: mc.Budget{Depth: 7, Workers: 1}}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var pending Msg
 	if err := sender.drainAndIdle(&pending); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	enc := sm.NewEncoder()
 	var fwd []ForwardState
@@ -185,8 +183,17 @@ func BenchmarkShardReplay(b *testing.B) {
 		}
 	}
 	if len(fwd) == 0 {
-		b.Fatal("sender forwarded nothing")
+		tb.Fatal("sender forwarded nothing")
 	}
+	return conn.batches, fwd
+}
+
+// BenchmarkShardReplay measures the receiver's cost per forwarded state:
+// one op replays one wire-form path of recordForwards' sequence, in order.
+// "prefix" is the shard's replay, resuming from the previous path's common
+// prefix; "from-root" re-executes every path from the root.
+func BenchmarkShardReplay(b *testing.B) {
+	_, fwd := recordForwards(b)
 	recv := paxosShard(b, nil, 1)
 	run := func(b *testing.B, replay func(path []EventDesc) (*mc.GState, error)) {
 		b.ReportAllocs()
@@ -211,4 +218,29 @@ func BenchmarkShardReplay(b *testing.B) {
 			return g, err
 		})
 	})
+}
+
+// TestShardReplayAllocBound gates BenchmarkShardReplay/prefix: the
+// receiver's allocations per forwarded path, averaged over one full pass
+// of the recorded sequence from an empty prefix cache.
+func TestShardReplayAllocBound(t *testing.T) {
+	_, fwd := recordForwards(t)
+	recv := paxosShard(t, nil, 1)
+	pass := func() {
+		recv.replayed.drop()
+		for _, fs := range fwd {
+			if _, err := recv.replay(fs.Path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bound := 34.0 // measured 33.19 (36.73 under -race)
+	if raceEnabled {
+		bound = 37
+	}
+	perPath := testing.AllocsPerRun(3, pass) / float64(len(fwd))
+	t.Logf("%.2f allocs per forwarded path (%d paths)", perPath, len(fwd))
+	if perPath > bound {
+		t.Fatalf("prefix replay allocates %.2f per forwarded path, want <= %.0f", perPath, bound)
+	}
 }

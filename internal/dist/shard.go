@@ -235,8 +235,7 @@ type shard struct {
 	meter *mc.Meter
 	pool  *mc.Pool
 	depth int32 // the round's depth bound (0 = unbounded)
-	// transitions counts successful successor applications (the meter
-	// counts transitions only under a Transitions bound).
+	// transitions counts successful successor applications.
 	transitions atomic.Int64
 	maxDepth    int32 // deepest bucket with an admitted expansion
 	vio         *violationSet
@@ -537,12 +536,11 @@ func (sh *shard) expand(n *node, x *mc.Expander) []*node {
 	}
 	var children []*node
 	x.Events(n.state, func(ev sm.Event) {
-		if !sh.meter.AdmitTransition() {
+		if sh.meter.Exhausted() {
 			return
 		}
 		next := sh.search.ApplyEvent(n.state, ev)
 		if next == nil {
-			sh.meter.RefundTransition()
 			return
 		}
 		sh.transitions.Add(1)

@@ -483,25 +483,23 @@ func encodeBudget(e *sm.Encoder, b mc.Budget) {
 	e.Int(b.Depth)
 	e.Int64(int64(b.Wall))
 	e.Int(b.Violations)
-	e.Int(b.Transitions)
 	e.Int(b.Workers)
 }
 
 func decodeBudget(d *sm.Decoder) mc.Budget {
 	return mc.Budget{
-		States:      d.Int(),
-		Depth:       d.Int(),
-		Wall:        time.Duration(d.Int64()),
-		Violations:  d.Int(),
-		Transitions: d.Int(),
-		Workers:     d.Int(),
+		States:     d.Int(),
+		Depth:      d.Int(),
+		Wall:       time.Duration(d.Int64()),
+		Violations: d.Int(),
+		Workers:    d.Int(),
 	}
 }
 
 // validBudget rejects decoded budgets no planner can produce (every budget
 // dimension is a non-negative quota; 0 means unlimited).
 func validBudget(b mc.Budget) error {
-	if b.States < 0 || b.Depth < 0 || b.Wall < 0 || b.Violations < 0 || b.Transitions < 0 || b.Workers < 0 {
+	if b.States < 0 || b.Depth < 0 || b.Wall < 0 || b.Violations < 0 || b.Workers < 0 {
 		return errorf("decode: budget with negative quota %+v", b)
 	}
 	return nil

@@ -72,8 +72,9 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 // The remaining allocations are the successor's own storage (GState and
 // NodeState containers, the service clone, copied slices) — the transient
 // workspace (encoders, handler context, random stream, hash state) comes
-// from the pooled scratch and must not count. The bound has headroom over
-// the measured value (~10) but sits far below the pre-scratch cost (~30).
+// from the pooled scratch and must not count. The bound is the measured
+// count, far below the pre-scratch cost (~30); under -race, where sync.Pool
+// drops a random quarter of its Puts, it measures 14 or 15.
 func TestSuccessorAllocBound(t *testing.T) {
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
 	g := multiTimerStart()
@@ -81,13 +82,18 @@ func TestSuccessorAllocBound(t *testing.T) {
 	if s.ApplyEvent(g, ev) == nil {
 		t.Fatal("timer event not applicable")
 	}
-	const maxAllocs = 20
-	if avg := testing.AllocsPerRun(500, func() {
+	maxAllocs := 12.0
+	if RaceEnabled {
+		maxAllocs = 15
+	}
+	avg := testing.AllocsPerRun(500, func() {
 		if s.ApplyEvent(g, ev) == nil {
 			t.Fatal("timer event not applicable")
 		}
-	}); avg > maxAllocs {
-		t.Fatalf("successor construction allocates %.1f/op, want <= %d", avg, maxAllocs)
+	})
+	t.Logf("%.0f allocs/op", avg)
+	if avg > maxAllocs {
+		t.Fatalf("successor construction allocates %.0f/op, want <= %.0f", avg, maxAllocs)
 	}
 }
 

@@ -384,12 +384,13 @@ func (e *engine) expandNode(node *searchNode, res *workerRes) []*searchNode {
 
 	var children []*searchNode
 	expand := func(ev sm.Event, sleep sleepSet) bool {
-		if !e.meter.AdmitTransition() {
+		// A halted meter (a spent budget, or a quota this very state's
+		// violation filled) stops proposing children.
+		if e.meter.Exhausted() {
 			return false
 		}
 		next := e.s.ApplyEvent(node.state, ev)
 		if next == nil {
-			e.meter.RefundTransition()
 			return false
 		}
 		e.ctr.transitions.Add(1)

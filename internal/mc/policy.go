@@ -30,11 +30,6 @@ type Budget struct {
 	// states; the reported list is additionally deduplicated by
 	// Signature.
 	Violations int
-	// Transitions bounds executed handler invocations — a deterministic
-	// stand-in for wall clock (per-state cost is dominated by handler
-	// execution), and the axis partial-order reduction stretches: at an
-	// equal transition budget a reduced search penetrates deeper.
-	Transitions int
 	// Workers is the exploration worker-pool size (0 = GOMAXPROCS). With
 	// one worker the breadth-first modes reproduce the paper's
 	// serial search exactly.

@@ -274,15 +274,19 @@ func TestConsequenceRoundAllocBound(t *testing.T) {
 		ExploreResets: true,
 	}
 	var res *mc.Result
-	// The slice-backed node table measures 642 (705 under -race); the
-	// map-backed table it replaced measured 673 (729).
-	maxAllocs := 660.0
+	// The slice-backed node table measures 642; the map-backed table it
+	// replaced measured 673. Under -race sync.Pool drops a random quarter
+	// of its Puts, so the count varies from run to run (696–714 over 62
+	// runs of 20 rounds); averaging over 100 rounds narrows it to 701–709.
+	runs, maxAllocs := 20, 642.0
 	if mc.RaceEnabled {
-		maxAllocs = 720
+		runs, maxAllocs = 100, 712
 	}
-	if avg := testing.AllocsPerRun(20, func() {
+	avg := testing.AllocsPerRun(runs, func() {
 		res = mc.NewSearch(cfg).Run(g)
-	}); avg > maxAllocs {
+	})
+	t.Logf("%.0f allocs/op", avg)
+	if avg > maxAllocs {
 		t.Fatalf("consequence round allocates %.0f/op, want <= %.0f", avg, maxAllocs)
 	}
 	if res.StatesExplored == 0 {

@@ -25,13 +25,12 @@ type counters struct {
 // are exact (a rejected admission is rolled back), so bounded runs never
 // overshoot regardless of worker count.
 type Meter struct {
-	lim         Budget
-	now         func() time.Time // injected clock (Config.Now)
-	began       time.Time
-	deadline    time.Time // zero when Wall is unbounded
-	states      atomic.Int64
-	transitions atomic.Int64
-	halted      atomic.Bool
+	lim      Budget
+	now      func() time.Time // injected clock (Config.Now)
+	began    time.Time
+	deadline time.Time // zero when Wall is unbounded
+	states   atomic.Int64
+	halted   atomic.Bool
 }
 
 // NewMeter starts the accounting clock by reading now once (nil =
@@ -68,37 +67,6 @@ func (m *Meter) AdmitState() bool {
 		return false
 	}
 	return true
-}
-
-// AdmitTransition atomically claims one unit of the transition budget; it
-// returns false when the Transitions bound is exhausted (after rolling the
-// claim back, so the count is exact) or the meter has halted. Only a
-// Transitions bound is counted: without one, callers that report
-// transitions tally their own successful applications. Serial runs stop at
-// a deterministic transition prefix; with several workers which
-// expansions land inside the budget varies with scheduling, like every
-// non-depth cutoff.
-func (m *Meter) AdmitTransition() bool {
-	if m.lim.Transitions <= 0 {
-		return !m.halted.Load()
-	}
-	if m.halted.Load() {
-		return false
-	}
-	if n := m.transitions.Add(1); n > int64(m.lim.Transitions) {
-		m.transitions.Add(-1)
-		m.halted.Store(true)
-		return false
-	}
-	return true
-}
-
-// RefundTransition returns one admitted unit (the event turned out to be
-// inapplicable — no handler ran).
-func (m *Meter) RefundTransition() {
-	if m.lim.Transitions > 0 {
-		m.transitions.Add(-1)
-	}
 }
 
 // Halt marks the budget exhausted (e.g. the violation quota filled).
